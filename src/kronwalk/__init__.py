@@ -45,7 +45,6 @@ from .kronecker import (
 from .predict import (
     Bounds,
     DiameterPrediction,
-    FactorSummary,
     diameter_bounds,
     predict_all_loops,
     predict_diameter,
@@ -59,6 +58,7 @@ from .predict import (
 from .walks import (
     ExponentReport,
     ParityDistances,
+    ParityProfile,
     diameter,
     distance_matrix,
     exponent,
@@ -68,6 +68,7 @@ from .walks import (
     local_exponent,
     odd_girth,
     parity_distances,
+    parity_profile,
 )
 
 __all__ = [
@@ -78,10 +79,10 @@ __all__ = [
     "DiameterPrediction",
     "ExponentReport",
     "ExtLen",
-    "FactorSummary",
     "Graph",
     "INF",
     "ParityDistances",
+    "ParityProfile",
     "adjacency",
     "bool_mul",
     "bool_pow",
@@ -113,6 +114,7 @@ __all__ = [
     "odd_girth",
     "oracle_exponent",
     "parity_distances",
+    "parity_profile",
     "parse_edge_list",
     "predict_all_loops",
     "predict_diameter",

@@ -25,6 +25,7 @@ from .cycles import DEFAULT_CYCLE_CAP, l_o_bound
 from .edgelist import read_graph, write_graph
 from .extlen import to_json
 from .graphs import (
+    ENUM_CAP_LOOPED,
     Graph,
     make_complete,
     make_complete_multipartite,
@@ -50,7 +51,7 @@ from .predict import (
     predict_with_trivial_factor,
     summarize,
 )
-from .walks import diameter, exponent, is_bipartite, is_connected, odd_girth
+from .walks import diameter
 
 
 class SpecError(ValueError):
@@ -135,21 +136,20 @@ def _predict_pair(g1: Graph, g2: Graph) -> DiameterPrediction:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     g = parse_graph_spec(args.graph)
-    rep = exponent(g)
-    connected = is_connected(g)
+    s = summarize(g)
     document = {
         "order": g.order,
         "edges": g.edge_count,
-        "connected": connected,
-        "bipartite": is_bipartite(g),
-        "odd_girth": to_json(odd_girth(g)),
-        "diameter": to_json(diameter(g)),
-        "exponent": to_json(rep.gamma),
-        "witness_pair": list(rep.witness_pair) if rep.witness_pair else None,
+        "connected": s.connected,
+        "bipartite": s.bipartite,
+        "odd_girth": to_json(s.odd_girth),
+        "diameter": to_json(s.diameter),
+        "exponent": to_json(s.exponent),
+        "witness_pair": list(s.witness_pair) if s.witness_pair else None,
         "l_o": None,
         "l_o_exact": None,
     }
-    if connected:
+    if s.connected:
         bound = l_o_bound(g, cap=args.cap_cycles)
         document["l_o"] = to_json(bound.l_o)
         document["l_o_exact"] = bound.exact
@@ -191,6 +191,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Exhaustive sweeps enumerate every labeled graph of each order, so the
+    # orders stop at the library's enumeration caps.
+    if not 1 <= args.exhaustive <= ENUM_CAP_LOOPED:
+        raise ValueError(
+            f"--exhaustive must lie in [1, {ENUM_CAP_LOOPED}], got {args.exhaustive}"
+        )
+    if args.random < 0:
+        raise ValueError(f"--random must be at least 0, got {args.random}")
     if args.claims == "all":
         claim_ids = list(CLAIM_IDS)
     else:
@@ -308,7 +316,8 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="run claim checkers")
     verify.add_argument("--claims", default="all", help="comma-separated ids or 'all'")
     verify.add_argument("--exhaustive", type=int, default=4, metavar="N",
-                        help="exhaustive cap with loops (loopless cap is N+1)")
+                        help=f"exhaustive cap with loops, 1 to {ENUM_CAP_LOOPED} "
+                        "(loopless cap is N+1)")
     verify.add_argument("--random", type=int, default=500, metavar="COUNT")
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)
@@ -330,13 +339,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        _progress(f"error: {exc}")
-        return 1
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         _progress(f"error: {exc}")
         return 1
 

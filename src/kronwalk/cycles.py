@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .extlen import INF, ExtLen
 from .graphs import Graph
-from .walks import distance_matrix, is_connected
+from .walks import Matrix, distance_matrix, is_connected
 
 DEFAULT_CYCLE_CAP = 100_000
 
@@ -37,23 +37,24 @@ def _simple_cycles_from(g: Graph, anchor: int) -> Iterator[OddCycle]:
     # DFS path extension: only vertices above the anchor may join the path,
     # and a closing is accepted only with path[1] < path[-1], so each odd
     # cycle of length >= 3 appears exactly once, anchored at its minimum.
+    # An explicit stack holds one neighbor iterator per path vertex, so path
+    # length is not limited by the interpreter's recursion depth.
     path = [anchor]
     on_path = {anchor}
-
-    def extend() -> Iterator[OddCycle]:
-        v = path[-1]
-        for w in g.neighbors(v):
+    pending = [iter(g.neighbors(anchor))]
+    while pending:
+        for w in pending[-1]:
             if w == anchor:
                 if len(path) >= 3 and len(path) % 2 == 1 and path[1] < path[-1]:
                     yield tuple(path)
             elif w > anchor and w not in on_path:
                 path.append(w)
                 on_path.add(w)
-                yield from extend()
-                path.pop()
-                on_path.remove(w)
-
-    yield from extend()
+                pending.append(iter(g.neighbors(w)))
+                break
+        else:
+            pending.pop()
+            on_path.remove(path.pop())
 
 
 def _all_odd_cycles(g: Graph) -> Iterator[OddCycle]:
@@ -91,17 +92,24 @@ def _check_cycle(g: Graph, cycle: OddCycle) -> None:
             raise ValueError(f"cycle edge ({a}, {b}) not present")
 
 
+def _eccentricity(dist: Matrix, cycle: OddCycle) -> int:
+    members = set(cycle)
+    return max(
+        (
+            min(map(row.__getitem__, cycle))
+            for x, row in enumerate(dist)
+            if x not in members
+        ),
+        default=0,
+    )
+
+
 def eccentricity_to_cycle(g: Graph, cycle: OddCycle) -> int:
     """Largest distance from a vertex outside the cycle to the cycle (0 if none)."""
     _check_cycle(g, cycle)
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    dist = distance_matrix(g)
-    members = set(cycle)
-    return max(
-        (min(dist[x][y] for y in cycle) for x in range(g.order) if x not in members),
-        default=0,
-    )
+    return _eccentricity(distance_matrix(g), cycle)
 
 
 def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
@@ -114,7 +122,6 @@ def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
     if not is_connected(g):
         raise ValueError("graph must be connected")
     dist = distance_matrix(g)
-    n = g.order
     best: ExtLen = INF
     best_cycle: OddCycle | None = None
     considered = 0
@@ -124,15 +131,7 @@ def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
             exact = False
             break
         considered += 1
-        members = set(cycle)
-        ecc = 0
-        for x in range(n):
-            if x in members:
-                continue
-            reach = min(dist[x][y] for y in cycle)
-            if reach > ecc:
-                ecc = reach
-        value = 2 * ecc + len(cycle) - 1
+        value = 2 * _eccentricity(dist, cycle) + len(cycle) - 1
         if value < best:
             best = value
             best_cycle = cycle

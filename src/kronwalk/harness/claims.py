@@ -44,7 +44,7 @@ from ..walks import (
     exponent,
     is_connected,
     is_primitive,
-    odd_girth,
+    local_exponent,
     parity_distances,
 )
 from ..cycles import l_o_bound
@@ -275,9 +275,10 @@ def _bipartite_pool() -> list[Graph]:
 )
 def _check_product_exponent(instance: Instance) -> Failure | None:
     g1, g2 = instance
-    if not is_primitive(g1) or not is_primitive(g2):
-        return None
-    expected = max(exponent(g1).gamma, exponent(g2).gamma)
+    s1, s2 = summarize(g1), summarize(g2)
+    if not is_finite(s1.exponent) or not is_finite(s2.exponent):
+        return None  # a factor is not primitive
+    expected = max(s1.exponent, s2.exponent)
     actual = exponent(kronecker_product(g1, g2)).gamma
     if actual != expected:
         return Failure(expected, actual, "product exponent differs from max of factors")
@@ -304,7 +305,7 @@ def _check_local_exponent_onset(instance: Instance) -> Failure | None:
     pd = parity_distances(g)
     for u in range(n):
         for v in range(n):
-            local = max(pd.odd[u][v], pd.even[u][v]) - 1
+            local = local_exponent(pd, u, v)
             bits = [p.bit(u, v) for p in powers]  # bits[k-1] is the k-th power
             if is_finite(local):
                 local = int(local)
@@ -384,9 +385,9 @@ def _check_walk_combination(instance: Instance) -> Failure | None:
 )
 def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
     (g,) = instance
-    if g.order < 2 or not is_primitive(g):
-        return None
-    gamma = exponent(g).gamma
+    gamma = summarize(g).exponent
+    if g.order < 2 or not is_finite(gamma):
+        return None  # trivial or not primitive
     pd = parity_distances(g)
     n = g.order
     pairs = [(u, v) for u in range(n) for v in range(n)]
@@ -448,9 +449,10 @@ def _check_cycle_bound(instance: Instance) -> Failure | None:
     (g,) = instance
     # A lone looped vertex has exponent 1 but cycle bound 0; the claim is
     # about nontrivial graphs.
-    if g.order < 2 or not is_connected(g):
+    s = summarize(g)
+    if g.order < 2 or not s.connected:
         return None
-    gamma = exponent(g).gamma
+    gamma = s.exponent
     report = l_o_bound(g)
     # Truncated enumeration still yields a valid upper bound.
     if gamma > report.l_o:
@@ -467,10 +469,11 @@ def _check_loop_diameter_bound(instance: Instance) -> Failure | None:
     (g,) = instance
     if g.order < 2:
         return None  # the lone looped vertex has exponent 1 and diameter 0
-    if not is_connected(g) or not any(g.has_loop(v) for v in range(g.order)):
+    s = summarize(g)
+    if not s.connected or not any(g.has_loop(v) for v in range(g.order)):
         return None
-    gamma = exponent(g).gamma
-    bound = 2 * diameter(g)
+    gamma = s.exponent
+    bound = 2 * s.diameter
     if gamma > bound:
         return Failure(f"<= {bound}", gamma, "exponent exceeds twice the diameter")
     return None
@@ -493,14 +496,12 @@ def _cor31_instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instanc
 )
 def _check_odd_girth_bound(instance: Instance) -> Failure | None:
     (g,) = instance
-    if not is_primitive(g):
-        return None
-    p = odd_girth(g)
-    if not is_finite(p) or p < 3:
-        return None
-    p = int(p)
+    s = summarize(g)
+    if not is_finite(s.exponent) or s.odd_girth < 3:
+        return None  # not primitive, or a loop gives odd girth 1
+    p = int(s.odd_girth)
     n = g.order
-    gamma = exponent(g).gamma
+    gamma = s.exponent
     bound = 2 * n - p - 1
     if gamma > bound:
         return Failure(f"<= {bound}", gamma, "exponent exceeds 2n - p - 1")
@@ -529,14 +530,14 @@ def _cor32_instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instanc
 )
 def _check_clique_family_exponent(instance: Instance) -> Failure | None:
     (g,) = instance
-    if not is_primitive(g) or any(g.has_loop(v) for v in range(g.order)):
-        return None
+    actual = summarize(g).exponent
+    if not is_finite(actual) or any(g.has_loop(v) for v in range(g.order)):
+        return None  # not primitive, or looped
     p = clique_number(g)
     n = g.order
     if p < 3 or n <= p or not are_isomorphic(g, make_h_family(n, p)):
         return None
     expected = 2 * n - 2 * p + 2
-    actual = exponent(g).gamma
     if actual != expected:
         return Failure(expected, actual, "family exponent formula violated")
     return None
@@ -549,11 +550,11 @@ def _check_clique_family_exponent(instance: Instance) -> Failure | None:
 )
 def _check_sandwich_bounds(instance: Instance) -> Failure | None:
     g1, g2 = instance
-    if not is_connected(g1) or not is_connected(g2):
-        return None
     if g1.order < 2 or g2.order < 2:
         return None
     s1, s2 = summarize(g1), summarize(g2)
+    if not s1.connected or not s2.connected:
+        return None
     if s1.bipartite and not s2.bipartite:
         s1, s2 = s2, s1  # the product is the same up to coordinate swap
     if s1.bipartite:
@@ -596,9 +597,10 @@ def _check_main_formula(instance: Instance) -> Failure | None:
     g1, g2 = instance
     if g1.order < 2 or g2.order < 2:
         return None
-    if not is_connected(g1) or not is_connected(g2):
+    s1, s2 = summarize(g1), summarize(g2)
+    if not s1.connected or not s2.connected:
         return None
-    predicted = predict_diameter(summarize(g1), summarize(g2))
+    predicted = predict_diameter(s1, s2)
     actual = diameter(kronecker_product(g1, g2))
     if predicted.value != actual:
         return Failure(
@@ -651,11 +653,12 @@ def _thm35_instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instanc
 )
 def _check_k_plus_factor(instance: Instance) -> Failure | None:
     g1, g2 = instance
-    if not is_k_plus(g1) or g1.order < 2:
+    if g1.order < 2 or g2.order < 2:
         return None
-    if g2.order < 2 or not is_connected(g2) or is_k_plus(g2):
+    s1, s2 = summarize(g1), summarize(g2)
+    if not s1.is_k_plus or not s2.connected or s2.is_k_plus:
         return None
-    expected = predict_k_plus_factor(summarize(g1), summarize(g2)).value
+    expected = predict_k_plus_factor(s1, s2).value
     actual = diameter(kronecker_product(g1, g2))
     if actual != expected:
         return Failure(expected, actual, "complete-with-loops closed form violated")
@@ -700,9 +703,10 @@ def _check_multipartite_factor(instance: Instance) -> Failure | None:
     parts = complete_multipartite_parts(h)
     if parts is None or len(parts) < 3:
         return None
-    if g.order < 2 or not is_connected(g):
+    s = summarize(g)
+    if g.order < 2 or not s.connected:
         return None
-    expected = predict_multipartite_factor(summarize(g), parts).value
+    expected = predict_multipartite_factor(s, parts).value
     actual = diameter(kronecker_product(g, h))
     if actual != expected:
         return Failure(expected, actual, "multipartite closed form violated")
@@ -780,9 +784,9 @@ def _check_all_loops(instance: Instance) -> Failure | None:
 )
 def _check_double_cover_exponent(instance: Instance) -> Failure | None:
     (g,) = instance
-    if g.order < 2 or not is_primitive(g):
-        return None
-    expected = exponent(g).gamma
+    expected = summarize(g).exponent
+    if g.order < 2 or not is_finite(expected):
+        return None  # trivial or not primitive
     actual = diameter(kronecker_product(g, make_complete(2))) - 1
     if actual != expected:
         return Failure(expected, actual, "double-cover diameter identity violated")

@@ -31,7 +31,7 @@ def connected_graphs(
 ) -> Iterator[Graph]:
     """All connected labeled graphs with orders in ``[min_order, max_order]``."""
     for n in range(min_order, max_order + 1):
-        for g in enumerate_graphs(n, allow_loops, cap=n):
+        for g in enumerate_graphs(n, allow_loops):
             if is_connected(g):
                 yield g
 

@@ -11,6 +11,8 @@ Alongside the general formula this module evaluates the special closed
 forms: products of complete-with-loops factors, a complete multipartite
 factor, factors whose exponent is exactly twice their diameter (the
 path-plus-clique and path-plus-odd-cycle families), and all-loops factors.
+Every predictor returns its record through one builder, which names the
+case by comparing the two factor exponents.
 """
 
 from __future__ import annotations
@@ -19,26 +21,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .extlen import INF, ExtLen, is_finite
-from .graphs import Graph, is_k_plus
-from .walks import diameter, exponent, is_bipartite, is_connected
+from .graphs import Graph
+from .walks import ParityProfile, parity_profile
 
 CASE_EQUAL_EXPONENTS = "EqualExponents"
 CASE_GAMMA1_GREATER = "Gamma1Greater"
 CASE_GAMMA2_GREATER = "Gamma2Greater"
 CASE_DISCONNECTED = "Disconnected"
 CASE_ORDER_ONE = "OrderOneFactor"
-
-
-@dataclass(frozen=True)
-class FactorSummary:
-    """Everything the predictors need to know about one factor."""
-
-    order: int
-    diameter: ExtLen
-    exponent: ExtLen
-    bipartite: bool
-    connected: bool
-    is_k_plus: bool
 
 
 @dataclass(frozen=True)
@@ -58,18 +48,12 @@ class DiameterPrediction:
     d2: ExtLen
 
 
-def summarize(g: Graph) -> FactorSummary:
-    return FactorSummary(
-        order=g.order,
-        diameter=diameter(g),
-        exponent=exponent(g).gamma,
-        bipartite=is_bipartite(g),
-        connected=is_connected(g),
-        is_k_plus=is_k_plus(g),
-    )
+def summarize(g: Graph) -> ParityProfile:
+    """Everything the predictors need to know about one factor."""
+    return parity_profile(g)
 
 
-def diameter_bounds(s1: FactorSummary, s2: FactorSummary) -> Bounds:
+def diameter_bounds(s1: ParityProfile, s2: ParityProfile) -> Bounds:
     """Sandwich bounds on the product diameter.
 
     Lower: the larger factor diameter, raised to the common exponent (equal
@@ -86,7 +70,34 @@ def diameter_bounds(s1: FactorSummary, s2: FactorSummary) -> Bounds:
     return Bounds(lower=lower, upper=upper)
 
 
-def predict_diameter(s1: FactorSummary, s2: FactorSummary) -> DiameterPrediction:
+def _prediction(
+    value: ExtLen, s1: ParityProfile, s2: ParityProfile, case: str | None = None
+) -> DiameterPrediction:
+    """The record for a predicted value; bounds need both orders >= 2.
+
+    Without an explicit case the larger exponent names it.
+    """
+    g1, g2 = s1.exponent, s2.exponent
+    if case is None:
+        if g1 == g2:
+            case = CASE_EQUAL_EXPONENTS
+        elif g1 > g2:
+            case = CASE_GAMMA1_GREATER
+        else:
+            case = CASE_GAMMA2_GREATER
+    bounds = diameter_bounds(s1, s2) if min(s1.order, s2.order) >= 2 else None
+    return DiameterPrediction(
+        value=value,
+        case=case,
+        bounds=bounds,
+        gamma1=g1,
+        gamma2=g2,
+        d1=s1.diameter,
+        d2=s2.diameter,
+    )
+
+
+def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction:
     """Exact product diameter from the factor exponents and diameters.
 
     Requires both factors to have order at least two; an order-one factor
@@ -99,35 +110,20 @@ def predict_diameter(s1: FactorSummary, s2: FactorSummary) -> DiameterPrediction
             raise ValueError(
                 f"{label} factor has order 1; use predict_with_trivial_factor"
             )
-    g1, g2 = s1.exponent, s2.exponent
-    d1, d2 = s1.diameter, s2.diameter
     if not s1.connected or not s2.connected or (s1.bipartite and s2.bipartite):
-        return DiameterPrediction(
-            value=INF,
-            case=CASE_DISCONNECTED,
-            bounds=diameter_bounds(s1, s2),
-            gamma1=g1,
-            gamma2=g2,
-            d1=d1,
-            d2=d2,
-        )
-    bounds = diameter_bounds(s1, s2)
+        return _prediction(INF, s1, s2, CASE_DISCONNECTED)
+    g1, g2 = s1.exponent, s2.exponent
     if g1 == g2:
         value: ExtLen = g1
-        case = CASE_EQUAL_EXPONENTS
     elif g1 > g2:
-        value = max(g2 + 1, d1)
-        case = CASE_GAMMA1_GREATER
+        value = max(g2 + 1, s1.diameter)
     else:
-        value = max(g1 + 1, d2)
-        case = CASE_GAMMA2_GREATER
-    return DiameterPrediction(
-        value=value, case=case, bounds=bounds, gamma1=g1, gamma2=g2, d1=d1, d2=d2
-    )
+        value = max(g1 + 1, s2.diameter)
+    return _prediction(value, s1, s2)
 
 
 def predict_with_trivial_factor(
-    s_big: FactorSummary, g_small: Graph
+    s_big: ParityProfile, g_small: Graph
 ) -> DiameterPrediction:
     """Product with an order-one factor.
 
@@ -140,23 +136,10 @@ def predict_with_trivial_factor(
         raise ValueError("small factor must have order 1")
     s_small = summarize(g_small)
     if g_small.has_loop(0):
-        value: ExtLen = s_big.diameter
-        case = CASE_ORDER_ONE
-    elif s_big.order >= 2:
-        value = INF
-        case = CASE_DISCONNECTED
-    else:
-        value = 0
-        case = CASE_ORDER_ONE
-    return DiameterPrediction(
-        value=value,
-        case=case,
-        bounds=None,
-        gamma1=s_big.exponent,
-        gamma2=s_small.exponent,
-        d1=s_big.diameter,
-        d2=s_small.diameter,
-    )
+        return _prediction(s_big.diameter, s_big, s_small, CASE_ORDER_ONE)
+    if s_big.order >= 2:
+        return _prediction(INF, s_big, s_small, CASE_DISCONNECTED)
+    return _prediction(0, s_big, s_small, CASE_ORDER_ONE)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -164,24 +147,18 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def predict_k_plus_pair(s1: FactorSummary, s2: FactorSummary) -> DiameterPrediction:
+def predict_k_plus_pair(
+    s1: ParityProfile, s2: ParityProfile
+) -> DiameterPrediction:
     """Both factors complete with all loops: the product has diameter 1."""
     for label, s in (("first", s1), ("second", s2)):
         _require(s.order >= 2, f"{label} factor: order must be at least 2")
         _require(s.is_k_plus, f"{label} factor: not complete with a loop everywhere")
-    return DiameterPrediction(
-        value=1,
-        case=CASE_EQUAL_EXPONENTS,
-        bounds=diameter_bounds(s1, s2),
-        gamma1=s1.exponent,
-        gamma2=s2.exponent,
-        d1=s1.diameter,
-        d2=s2.diameter,
-    )
+    return _prediction(1, s1, s2)
 
 
 def predict_k_plus_factor(
-    s_kp: FactorSummary, s_other: FactorSummary
+    s_kp: ParityProfile, s_other: ParityProfile
 ) -> DiameterPrediction:
     """Complete-with-loops factor times anything else connected.
 
@@ -197,54 +174,40 @@ def predict_k_plus_factor(
         "second factor: must not be complete with a loop everywhere",
     )
     d = s_other.diameter
-    value: ExtLen = 2 if d == 1 else d
-    return DiameterPrediction(
-        value=value,
-        case=CASE_GAMMA2_GREATER,
-        bounds=diameter_bounds(s_kp, s_other),
-        gamma1=s_kp.exponent,
-        gamma2=s_other.exponent,
-        d1=s_kp.diameter,
-        d2=s_other.diameter,
-    )
+    return _prediction(2 if d == 1 else d, s_kp, s_other)
 
 
 def predict_multipartite_factor(
-    s_g: FactorSummary, part_sizes: Sequence[int]
+    s_g: ParityProfile, part_sizes: Sequence[int]
 ) -> DiameterPrediction:
     """Connected factor times a complete multipartite graph on 3+ parts."""
     _require(len(part_sizes) >= 3, "multipartite factor: need at least 3 parts")
     _require(all(s >= 1 for s in part_sizes), "multipartite factor: empty part")
     _require(s_g.connected, "first factor: must be connected")
     _require(s_g.diameter >= 1, "first factor: diameter must be at least 1")
-    d, gam = s_g.diameter, s_g.exponent
+    d = s_g.diameter
     if d >= 3:
         value: ExtLen = d
-    elif gam <= 2:
+    elif s_g.exponent <= 2:
         value = 2
     else:
         value = 3
-    # The multipartite factor always has exponent 2.
-    if gam == 2:
-        case = CASE_EQUAL_EXPONENTS
-    elif gam > 2:
-        case = CASE_GAMMA1_GREATER
-    else:
-        case = CASE_GAMMA2_GREATER
-    d2 = 1 if all(s == 1 for s in part_sizes) else 2
-    return DiameterPrediction(
-        value=value,
-        case=case,
-        bounds=None,
-        gamma1=gam,
-        gamma2=2,
-        d1=d,
-        d2=d2,
+    # On three or more parts: exponent 2 (witnessed at the first vertex and
+    # itself), odd girth 3, and diameter 1 iff every part is one vertex.
+    s_h = ParityProfile(
+        order=sum(part_sizes),
+        connected=True,
+        bipartite=False,
+        odd_girth=3,
+        diameter=1 if all(s == 1 for s in part_sizes) else 2,
+        exponent=2,
+        witness_pair=(0, 0),
     )
+    return _prediction(value, s_g, s_h)
 
 
 def predict_family_product(
-    s1: FactorSummary, s2: FactorSummary
+    s1: ParityProfile, s2: ParityProfile
 ) -> DiameterPrediction:
     """Product where the first factor's exponent is exactly twice its diameter.
 
@@ -265,7 +228,6 @@ def predict_family_product(
     d1, d2 = s1.diameter, s2.diameter
     if s2.bipartite:
         value: ExtLen = max(2 * d1 + 1, d2)
-        case = CASE_GAMMA2_GREATER
     else:
         _require(
             s2.exponent == 2 * s2.diameter,
@@ -273,22 +235,11 @@ def predict_family_product(
         )
         if d1 == d2:
             value = 2 * d1
-            case = CASE_EQUAL_EXPONENTS
         elif d1 > d2:
             value = max(d1, 2 * d2 + 1)
-            case = CASE_GAMMA1_GREATER
         else:
             value = max(d2, 2 * d1 + 1)
-            case = CASE_GAMMA2_GREATER
-    return DiameterPrediction(
-        value=value,
-        case=case,
-        bounds=diameter_bounds(s1, s2),
-        gamma1=s1.exponent,
-        gamma2=s2.exponent,
-        d1=d1,
-        d2=d2,
-    )
+    return _prediction(value, s1, s2)
 
 
 def predict_all_loops(g1: Graph, g2: Graph) -> DiameterPrediction:
@@ -300,27 +251,13 @@ def predict_all_loops(g1: Graph, g2: Graph) -> DiameterPrediction:
     """
     summaries = []
     for label, g in (("first", g1), ("second", g2)):
+        s = summarize(g)
         _require(g.order >= 2, f"{label} factor: order must be at least 2")
-        _require(is_connected(g), f"{label} factor: must be connected")
+        _require(s.connected, f"{label} factor: must be connected")
         _require(
             all(g.has_loop(v) for v in range(g.order)),
             f"{label} factor: every vertex must have a loop",
         )
-        summaries.append(summarize(g))
+        summaries.append(s)
     s1, s2 = summaries
-    d1, d2 = s1.diameter, s2.diameter
-    if d1 == d2:
-        case = CASE_EQUAL_EXPONENTS
-    elif d1 > d2:
-        case = CASE_GAMMA1_GREATER
-    else:
-        case = CASE_GAMMA2_GREATER
-    return DiameterPrediction(
-        value=max(d1, d2),
-        case=case,
-        bounds=diameter_bounds(s1, s2),
-        gamma1=s1.exponent,
-        gamma2=s2.exponent,
-        d1=d1,
-        d2=d2,
-    )
+    return _prediction(max(s1.diameter, s2.diameter), s1, s2)

@@ -61,6 +61,13 @@ def test_metrics_disconnected_file(tmp_path, capsys):
     assert doc["l_o"] is None
 
 
+def test_metrics_long_cycle(capsys):
+    code, out, _ = run_cli(capsys, "metrics", "cycle:999")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exponent"] == 998 and doc["l_o"] == 998 and doc["l_o_exact"] is True
+
+
 def test_metrics_bad_spec(capsys):
     code, out, err = run_cli(capsys, "metrics", "cycle:1")
     assert code == 1
@@ -128,6 +135,22 @@ def test_verify_report_is_byte_stable(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "flags", [("--exhaustive", "9"), ("--exhaustive", "0"), ("--random", "-1")]
+)
+def test_verify_rejects_out_of_range_sizes(monkeypatch, capsys, flags):
+    import kronwalk.harness.ensembles as ensembles
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(ensembles, "enumerate_graphs", refuse)
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert code == 1
+    assert out == ""
+    assert flags[0] in err
 
 
 def test_verify_unknown_claim(capsys):

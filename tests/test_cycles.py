@@ -47,6 +47,11 @@ def test_enumeration_is_duplicate_free_and_odd():
             assert g.has_edge(a, b)
 
 
+def test_long_cycle_enumerates_without_recursion():
+    # one path vertex per DFS level: far deeper than the recursion limit
+    assert list(enumerate_odd_cycles(make_cycle(999))) == [tuple(range(999))]
+
+
 def test_enumeration_cap():
     capped = list(enumerate_odd_cycles(make_complete(5), cap=3))
     assert len(capped) == 3

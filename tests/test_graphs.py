@@ -167,5 +167,7 @@ def test_enumerate_cap():
         list(enumerate_graphs(6))
     with pytest.raises(ValueError):
         list(enumerate_graphs(5, allow_loops=True))
+    with pytest.raises(ValueError):
+        next(enumerate_graphs(9, allow_loops=True))  # refused before any graph
     # an explicit cap raises the limit
     assert sum(1 for _ in enumerate_graphs(5, allow_loops=True, cap=5)) == 2 ** (10 + 5)

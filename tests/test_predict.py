@@ -137,11 +137,12 @@ def test_multipartite_factor():
 def test_multipartite_factor_matches_brute_force():
     for g in (make_complete(3), make_cycle(5), make_path(5), make_path(3)):
         for parts in ([1, 1, 1], [2, 1, 1], [2, 2, 2]):
-            expected = predict_multipartite_factor(summarize(g), parts).value
+            pred = predict_multipartite_factor(summarize(g), parts)
             actual = diameter(
                 kronecker_product(g, make_complete_multipartite(parts))
             )
-            assert actual == expected, (g, parts)
+            assert actual == pred.value, (g, parts)
+            assert pred.bounds.lower <= actual <= pred.bounds.upper
 
 
 def test_family_product_bipartite_case():

@@ -1,0 +1,56 @@
+"""How many graph traversals each entry point runs.
+
+Every traversal name is replaced, in each module that binds it, by a
+wrapper that records the traversal and the function that called it.
+"""
+
+import sys
+
+import pytest
+
+import kronwalk.cli as cli
+import kronwalk.cycles as cycles
+import kronwalk.kronecker as kronecker
+import kronwalk.predict as predict
+import kronwalk.walks as walks
+from kronwalk import make_cycle, summarize
+
+TRAVERSALS = ("parity_distances", "distance_matrix", "is_connected", "is_bipartite")
+PROFILE = ("parity_distances", "parity_profile")
+
+
+@pytest.fixture
+def traversals(monkeypatch):
+    calls = []
+    for module in (walks, cycles, kronecker, predict, cli):
+        for name in TRAVERSALS:
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def counted(g, _name=name, _real=real):
+                calls.append((_name, sys._getframe(1).f_code.co_name))
+                return _real(g)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_summarize_runs_one_parity_traversal(traversals):
+    summarize(make_cycle(5))
+    assert traversals == [PROFILE]
+
+
+def test_metrics_runs_one_profile_and_the_cycle_bound(traversals, capsys):
+    assert cli.main(["metrics", "F:30,5"]) == 0
+    assert sorted(traversals) == sorted(
+        [PROFILE, ("is_connected", "l_o_bound"), ("distance_matrix", "l_o_bound")]
+    )
+
+
+@pytest.mark.parametrize(
+    "pair", [("F:30,5", "H:20,4"), ("complete+:1", "cycle:5"), ("cycle:5", "path:1")]
+)
+def test_predict_runs_one_profile_per_factor(traversals, capsys, pair):
+    assert cli.main(["predict", *pair]) == 0
+    assert traversals == [PROFILE, PROFILE]

@@ -8,6 +8,7 @@ from kronwalk import (
     exponent,
     is_bipartite,
     is_connected,
+    is_k_plus,
     is_primitive,
     local_exponent,
     make_complete,
@@ -18,6 +19,7 @@ from kronwalk import (
     odd_girth,
     oracle_exponent,
     parity_distances,
+    parity_profile,
 )
 
 from helpers import dp_parity_minima, graphs, walk_reach
@@ -116,10 +118,17 @@ def test_exponent_examples():
 
 
 def test_exponent_report_structure():
-    rep = exponent(make_cycle(5))
+    g = make_cycle(5)
+    rep = exponent(g)
+    pd = parity_distances(g)
+    n = g.order
     u, v = rep.witness_pair
-    assert rep.local[u][v] == rep.gamma
-    assert rep.gamma == max(max(row) for row in rep.local)
+    assert local_exponent(pd, u, v) == rep.gamma
+    local = [[local_exponent(pd, a, b) for b in range(n)] for a in range(n)]
+    assert rep.gamma == max(max(row) for row in local)
+    # the witness is the first attaining pair in row-major order
+    assert all(local[a][b] < rep.gamma for a in range(n) for b in range(n)
+               if (a, b) < (u, v))
     assert exponent(make_cycle(4)).witness_pair is None
 
 
@@ -188,3 +197,36 @@ def test_parity_extremal_pairs_small_exhaustive():
             else:
                 assert any(pd.even[u][v] == gamma for u, v in pairs if u != v)
                 assert any(pd.odd[u][v] == gamma + 1 for u, v in pairs)
+
+
+def _assert_profile_matches_independent_routes(g):
+    s = parity_profile(g)
+    pd = parity_distances(g)
+    n = g.order
+    assert s.order == n
+    assert s.connected == is_connected(g)
+    assert s.bipartite == is_bipartite(g)
+    assert s.diameter == diameter(g)
+    assert s.odd_girth == min(pd.odd[v][v] for v in range(n))
+    assert s.exponent == oracle_exponent(g)
+    assert (s.exponent == 1) == s.is_k_plus == is_k_plus(g)
+    first = next(
+        ((u, v) for u in range(n) for v in range(n)
+         if local_exponent(pd, u, v) == s.exponent),
+        None,
+    )
+    assert s.witness_pair == (first if s.exponent != INF else None)
+
+
+def test_profile_matches_independent_routes_exhaustive():
+    from kronwalk import enumerate_graphs
+
+    for n in range(1, 5):
+        for g in enumerate_graphs(n, allow_loops=True):
+            _assert_profile_matches_independent_routes(g)
+
+
+@given(graphs(max_order=8))
+@settings(max_examples=150, deadline=None)
+def test_profile_matches_independent_routes(g):
+    _assert_profile_matches_independent_routes(g)
