@@ -52,7 +52,6 @@ from .predict import (
     predict_k_plus_factor,
     predict_k_plus_pair,
     predict_multipartite_factor,
-    predict_with_trivial_factor,
     summarize,
 )
 from .walks import (
@@ -122,7 +121,6 @@ __all__ = [
     "predict_k_plus_factor",
     "predict_k_plus_pair",
     "predict_multipartite_factor",
-    "predict_with_trivial_factor",
     "product_is_connected",
     "random_graph",
     "read_graph",

@@ -41,16 +41,12 @@ from .harness import (
     EnsembleSpec,
     counterexample_to_json,
     get_claim,
+    graph_to_json,
     minimize_counterexample,
     run_campaign,
 )
 from .kronecker import kronecker_product
-from .predict import (
-    DiameterPrediction,
-    predict_diameter,
-    predict_with_trivial_factor,
-    summarize,
-)
+from .predict import DiameterPrediction, predict_diameter, summarize
 from .walks import diameter
 
 
@@ -126,15 +122,9 @@ def _prediction_json(pred: DiameterPrediction) -> dict:
     }
 
 
-def _predict_pair(g1: Graph, g2: Graph) -> DiameterPrediction:
-    if g1.order == 1:
-        return predict_with_trivial_factor(summarize(g2), g1)
-    if g2.order == 1:
-        return predict_with_trivial_factor(summarize(g1), g2)
-    return predict_diameter(summarize(g1), summarize(g2))
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
+    if args.cap_cycles < 1:
+        raise ValueError(f"--cap-cycles must be at least 1, got {args.cap_cycles}")
     g = parse_graph_spec(args.graph)
     s = summarize(g)
     document = {
@@ -161,7 +151,7 @@ def cmd_product(args: argparse.Namespace) -> int:
     g1 = parse_graph_spec(args.graph1)
     g2 = parse_graph_spec(args.graph2)
     product = kronecker_product(g1, g2)
-    prediction = _predict_pair(g1, g2)
+    prediction = predict_diameter(summarize(g1), summarize(g2))
     measured = diameter(product)
     if args.out:
         _write_output(args.out, product, args.format)
@@ -186,7 +176,7 @@ def cmd_product(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     g1 = parse_graph_spec(args.graph1)
     g2 = parse_graph_spec(args.graph2)
-    _emit(_prediction_json(_predict_pair(g1, g2)))
+    _emit(_prediction_json(predict_diameter(summarize(g1), summarize(g2))))
     return 0
 
 
@@ -205,11 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
     for claim_id in claim_ids:
         get_claim(claim_id)  # fail fast on unknown ids
-    ensemble = EnsembleSpec(
-        exhaustive_order=args.exhaustive,
-        exhaustive_loopless_order=args.exhaustive + 1,
-        random_count=args.random,
-    )
+    ensemble = EnsembleSpec(exhaustive_order=args.exhaustive, random_count=args.random)
     results = []
     failed = False
     for outcome in run_campaign(claim_ids, ensemble, args.seed):
@@ -261,13 +247,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         _write_output(args.out, g, args.format)
         _emit({"order": g.order, "edges": g.edge_count, "out": args.out})
     else:
-        _emit(
-            {
-                "order": g.order,
-                "edges": [list(e) for e in g.edges()],
-                "out": None,
-            }
-        )
+        _emit({**graph_to_json(g), "out": None})
     return 0
 
 
@@ -276,11 +256,7 @@ def _write_output(path: str, g: Graph, fmt: str) -> None:
         write_graph(path, g)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"order": g.order, "edges": [list(e) for e in g.edges()]},
-                handle,
-                sort_keys=True,
-            )
+            json.dump(graph_to_json(g), handle, sort_keys=True)
             handle.write("\n")
 
 

@@ -119,6 +119,8 @@ def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
     is marked inexact, but the value is still a valid upper bound on the
     exponent because every individual cycle's value is one.
     """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     if not is_connected(g):
         raise ValueError("graph must be connected")
     dist = distance_matrix(g)

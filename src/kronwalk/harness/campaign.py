@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..extlen import to_json
 from ..graphs import Graph
@@ -75,6 +76,16 @@ def run_campaign(
     return outcomes
 
 
+def _single_deletions(graphs: Instance) -> Iterator[Instance]:
+    """The instance less one vertex or one edge: graph by graph, vertices
+    first.  A graph of order one keeps its vertex."""
+    for i, g in enumerate(graphs):
+        for v in range(g.order if g.order >= 2 else 0):
+            yield graphs[:i] + (g.remove_vertex(v),) + graphs[i + 1 :]
+        for u, v in g.edges():
+            yield graphs[:i] + (g.remove_edge(u, v),) + graphs[i + 1 :]
+
+
 def minimize_counterexample(claim: Claim, instance: Instance) -> Instance:
     """Greedy shrink: drop vertices, then edges, while the claim still fails.
 
@@ -83,30 +94,14 @@ def minimize_counterexample(claim: Claim, instance: Instance) -> Instance:
     """
     if claim.check(instance) is None:
         return instance
-    graphs = list(instance)
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for i, g in enumerate(graphs):
-            for v in range(g.order):
-                if g.order < 2:
-                    break
-                candidate = graphs[:i] + [g.remove_vertex(v)] + graphs[i + 1 :]
-                if claim.check(tuple(candidate)) is not None:
-                    graphs = candidate
-                    shrunk = True
-                    break
-            if shrunk:
-                break
-            for u, v in g.edges():
-                candidate = graphs[:i] + [g.remove_edge(u, v)] + graphs[i + 1 :]
-                if claim.check(tuple(candidate)) is not None:
-                    graphs = candidate
-                    shrunk = True
-                    break
-            if shrunk:
-                break
-    return tuple(graphs)
+    while True:
+        smaller = next(
+            (c for c in _single_deletions(instance) if claim.check(c) is not None),
+            None,
+        )
+        if smaller is None:
+            return instance
+        instance = smaller
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -15,15 +15,20 @@ from ..graphs import Graph, enumerate_graphs, random_graph
 from ..walks import is_connected
 
 
+RANDOM_ORDER = 6  # largest random graph, in most claims
+RANDOM_SINGLE_ORDER = 8  # largest random graph in the cycle-bound claim
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Caps for exhaustive sweeps and sizes for randomized ones."""
+    """Cap for exhaustive sweeps and count for randomized ones."""
 
     exhaustive_order: int = 4  # labeled graphs with loops up to this order
-    exhaustive_loopless_order: int = 5
     random_count: int = 500  # random instances per claim
-    random_order: int = 6  # largest random factor in pair claims
-    random_single_order: int = 8  # largest random graph in single-graph claims
+
+    @property
+    def exhaustive_loopless_order(self) -> int:
+        return self.exhaustive_order + 1
 
 
 def connected_graphs(

@@ -100,16 +100,20 @@ def _prediction(
 def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction:
     """Exact product diameter from the factor exponents and diameters.
 
-    Requires both factors to have order at least two; an order-one factor
-    takes the dedicated path in :func:`predict_with_trivial_factor`.
     Disconnected factors, or two bipartite ones, yield a Disconnected
-    prediction with infinite value.
+    prediction with infinite value.  An order-one factor is its own case: a
+    looped single vertex (exponent 1) is a multiplicative identity, so the
+    product keeps the other factor's diameter; a bare single vertex makes
+    the product edgeless, disconnected against order two or more and a
+    single vertex (diameter 0) otherwise.
     """
-    for label, s in (("first", s1), ("second", s2)):
-        if s.order < 2:
-            raise ValueError(
-                f"{label} factor has order 1; use predict_with_trivial_factor"
-            )
+    if min(s1.order, s2.order) == 1:
+        one, other = (s1, s2) if s1.order == 1 else (s2, s1)
+        if one.is_k_plus:
+            return _prediction(other.diameter, s1, s2, CASE_ORDER_ONE)
+        if other.order >= 2:
+            return _prediction(INF, s1, s2, CASE_DISCONNECTED)
+        return _prediction(0, s1, s2, CASE_ORDER_ONE)
     if not s1.connected or not s2.connected or (s1.bipartite and s2.bipartite):
         return _prediction(INF, s1, s2, CASE_DISCONNECTED)
     g1, g2 = s1.exponent, s2.exponent
@@ -120,26 +124,6 @@ def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction
     else:
         value = max(g1 + 1, s2.diameter)
     return _prediction(value, s1, s2)
-
-
-def predict_with_trivial_factor(
-    s_big: ParityProfile, g_small: Graph
-) -> DiameterPrediction:
-    """Product with an order-one factor.
-
-    A looped single vertex is a multiplicative identity, so the product
-    keeps the other factor's diameter.  A bare single vertex has no edges,
-    so the product is edgeless: disconnected for order two or more,
-    a single vertex (diameter 0) otherwise.
-    """
-    if g_small.order != 1:
-        raise ValueError("small factor must have order 1")
-    s_small = summarize(g_small)
-    if g_small.has_loop(0):
-        return _prediction(s_big.diameter, s_big, s_small, CASE_ORDER_ONE)
-    if s_big.order >= 2:
-        return _prediction(INF, s_big, s_small, CASE_DISCONNECTED)
-    return _prediction(0, s_big, s_small, CASE_ORDER_ONE)
 
 
 def _require(condition: bool, message: str) -> None:

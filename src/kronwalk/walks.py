@@ -13,7 +13,7 @@ smaller of the two entries, the odd girth is the smallest odd diagonal
 entry, and the per-pair exponent is ``max(odd, even) - 1`` whenever both
 parities are reachable (no walk of length ``max - 2`` exists in the larger
 parity, and either parity extends by two by repeating an edge).
-:func:`parity_profile` reads all of these off one pair of matrices.
+:func:`profile_of` reads all of these off one pair of matrices.
 
 The plain BFS (:func:`distance_matrix`, :func:`diameter`) stays separate:
 it is about three times cheaper than the parity BFS, and it is the ground
@@ -108,10 +108,13 @@ def parity_distances(g: Graph) -> ParityDistances:
 def parity_profile(g: Graph) -> ParityProfile:
     """Connectivity, bipartiteness, odd girth, diameter and exponent at once.
 
-    One call to :func:`parity_distances`, one pass over its rows; no n x n
-    table outlives the call.
+    One call to :func:`parity_distances`; no n x n table outlives the call.
     """
-    pd = parity_distances(g)
+    return profile_of(parity_distances(g))
+
+
+def profile_of(pd: ParityDistances) -> ParityProfile:
+    """The profile read off an existing parity table in one pass over its rows."""
     diam: ExtLen = 0
     girth: ExtLen = INF
     top: ExtLen = 0  # largest max(odd, even) so far; every entry is >= 2

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,17 @@ def test_metrics_long_cycle(capsys):
     assert doc["exponent"] == 998 and doc["l_o"] == 998 and doc["l_o_exact"] is True
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_metrics_rejects_cycle_cap_below_one(tmp_path, capsys, cap):
+    split = tmp_path / "split.edges"
+    write_graph(split, Graph(4, [(0, 1), (2, 3)]))
+    for graph in ("cycle:5", str(split)):
+        code, out, err = run_cli(capsys, "metrics", graph, "--cap-cycles", cap)
+        assert code == 1
+        assert out == ""
+        assert "--cap-cycles" in err
+
+
 def test_metrics_bad_spec(capsys):
     code, out, err = run_cli(capsys, "metrics", "cycle:1")
     assert code == 1
@@ -107,6 +119,14 @@ def test_product_trivial_factor(capsys):
     assert doc["predicted"] == 2 and doc["measured"] == 2
 
 
+def test_predict_order_one_factor_in_argument_order(capsys):
+    code, out, _ = run_cli(capsys, "predict", "complete+:1", "cycle:5")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["gamma1"], doc["d1"], doc["gamma2"], doc["d2"]) == (1, 0, 4, 2)
+    assert doc["predicted"] == 2 and doc["case"] == "OrderOneFactor"
+
+
 def test_predict_only(capsys):
     code, out, _ = run_cli(capsys, "predict", "cycle:3", "path:4")
     assert code == 0
@@ -126,6 +146,16 @@ def test_verify_single_claim(capsys):
     assert doc["pass"] is True
     assert doc["claims"][0]["claim_id"] == "Thm3.4"
     assert doc["claims"][0]["instances_checked"] == 36 * 36
+
+
+def test_verify_report_matches_golden_file(capsys):
+    # Pins every claim's instance stream and count at a small size.
+    golden = Path(__file__).parent / "data" / "verify_exhaustive3_random20_seed0.json"
+    code, out, _ = run_cli(
+        capsys, "verify", "--exhaustive", "3", "--random", "20", "--seed", "0"
+    )
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_verify_report_is_byte_stable(capsys):

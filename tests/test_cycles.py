@@ -90,6 +90,12 @@ def test_bound_requires_connected():
         l_o_bound(Graph(4, [(0, 1), (2, 3)]))
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_bound_rejects_cap_below_one(cap):
+    with pytest.raises(ValueError, match="cap"):
+        l_o_bound(make_cycle(5), cap=cap)
+
+
 def test_loop_cycles_feed_the_bound():
     # a loop at one end of a path: the bound is twice that vertex's
     # eccentricity

@@ -1,6 +1,7 @@
 import pytest
 
 from kronwalk import (
+    Bounds,
     Graph,
     diameter,
     kronecker_product,
@@ -20,19 +21,15 @@ from kronwalk.harness import (
     run_campaign,
     with_all_loops,
 )
+from kronwalk.harness import claims
 from kronwalk.harness.claims import (
+    REGISTRY,
     are_isomorphic,
     clique_number,
     complete_multipartite_parts,
 )
 
-SMALL = EnsembleSpec(
-    exhaustive_order=3,
-    exhaustive_loopless_order=4,
-    random_count=20,
-    random_order=5,
-    random_single_order=6,
-)
+SMALL = EnsembleSpec(exhaustive_order=3, random_count=20)
 
 
 def test_registry_covers_all_claims():
@@ -77,6 +74,31 @@ def test_campaign_is_deterministic():
     # instances
     alone = run_campaign(["Prop1.1"], SMALL, seed=9)
     assert alone[0].instances_checked == first[1].instances_checked
+
+
+def test_sandwich_claim_checks_the_shipped_bounds(monkeypatch):
+    # Thm3.2 must read the bounds that predict and product print, so a
+    # lower bound raised by one has to be caught.
+    real = claims.diameter_bounds
+
+    def raised(s1, s2):
+        b = real(s1, s2)
+        return Bounds(b.lower + 1, b.upper)
+
+    monkeypatch.setattr(claims, "diameter_bounds", raised)
+    (outcome,) = run_campaign(["Thm3.2"], SMALL, seed=0)
+    assert outcome.counterexample is not None
+
+
+def test_diameter_claim_compares_the_closed_form_with_bfs():
+    claims._diameter_claim("Probe", "probe", None)(
+        lambda g1, g2: 4 if g1.order == g2.order else None
+    )
+    check = REGISTRY.pop("Probe").check
+    assert check((make_cycle(5), make_cycle(5))) is None  # d(C5 x C5) = 4
+    failure = check((make_cycle(3), make_cycle(3)))
+    assert (failure.expected, failure.actual) == (4, 2)
+    assert check((make_cycle(3), make_cycle(5))) is None  # hypotheses unmet
 
 
 def test_unknown_claim_rejected():

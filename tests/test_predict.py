@@ -20,7 +20,6 @@ from kronwalk import (
     predict_k_plus_factor,
     predict_k_plus_pair,
     predict_multipartite_factor,
-    predict_with_trivial_factor,
     summarize,
 )
 from kronwalk.predict import (
@@ -55,11 +54,6 @@ def test_predict_examples():
     assert pred.value == 3
 
 
-def test_predict_rejects_order_one():
-    with pytest.raises(ValueError, match="order 1"):
-        predict_diameter(summarize(Graph(1)), summarize(make_cycle(3)))
-
-
 def test_predict_disconnected_cases():
     k2 = summarize(make_complete(2))
     pred = predict_diameter(k2, k2)  # both bipartite
@@ -85,17 +79,37 @@ def test_bounds_attached_to_prediction():
     assert pred.bounds.lower <= pred.value <= pred.bounds.upper
 
 
-def test_trivial_factor():
-    k1_plus = make_complete(1, with_loops=True)
-    k1 = Graph(1)
-    pred = predict_with_trivial_factor(summarize(make_cycle(5)), k1_plus)
-    assert pred.value == 2 and pred.case == CASE_ORDER_ONE
-    pred = predict_with_trivial_factor(summarize(make_cycle(5)), k1)
-    assert pred.value == INF and pred.case == CASE_DISCONNECTED
-    pred = predict_with_trivial_factor(summarize(k1_plus), k1_plus)
-    assert pred.value == 0
-    with pytest.raises(ValueError):
-        predict_with_trivial_factor(summarize(make_cycle(5)), make_complete(2))
+def test_order_one_factor():
+    k1_plus = summarize(make_complete(1, with_loops=True))
+    k1 = summarize(Graph(1))
+    c5 = summarize(make_cycle(5))
+    for s1, s2 in ((c5, k1_plus), (k1_plus, c5)):
+        pred = predict_diameter(s1, s2)
+        assert pred.value == 2 and pred.case == CASE_ORDER_ONE
+        assert pred.bounds is None
+    for s1, s2 in ((c5, k1), (k1, c5)):
+        pred = predict_diameter(s1, s2)
+        assert pred.value == INF and pred.case == CASE_DISCONNECTED
+    for s1, s2 in ((k1_plus, k1_plus), (k1, k1_plus), (k1, k1)):
+        pred = predict_diameter(s1, s2)
+        assert pred.value == 0 and pred.case == CASE_ORDER_ONE
+
+
+def test_order_one_factor_reports_facts_in_argument_order():
+    pred = predict_diameter(
+        summarize(make_complete(1, with_loops=True)), summarize(make_cycle(5))
+    )
+    assert (pred.gamma1, pred.d1, pred.gamma2, pred.d2) == (1, 0, 4, 2)
+    pred = predict_diameter(summarize(make_cycle(5)), summarize(Graph(1)))
+    assert (pred.gamma1, pred.d1, pred.gamma2, pred.d2) == (4, 2, INF, 0)
+
+
+@given(graphs(min_order=1, max_order=1), graphs(min_order=1, max_order=4))
+@settings(max_examples=100, deadline=None)
+def test_order_one_prediction_matches_brute_force(g1, g2):
+    for a, b in ((g1, g2), (g2, g1)):
+        pred = predict_diameter(summarize(a), summarize(b))
+        assert pred.value == diameter(kronecker_product(a, b))
 
 
 def test_k_plus_pair():

@@ -10,10 +10,11 @@ import pytest
 
 import kronwalk.cli as cli
 import kronwalk.cycles as cycles
+import kronwalk.harness.claims as claims
 import kronwalk.kronecker as kronecker
 import kronwalk.predict as predict
 import kronwalk.walks as walks
-from kronwalk import make_cycle, summarize
+from kronwalk import make_complete, make_cycle, summarize
 
 TRAVERSALS = ("parity_distances", "distance_matrix", "is_connected", "is_bipartite")
 PROFILE = ("parity_distances", "parity_profile")
@@ -22,7 +23,7 @@ PROFILE = ("parity_distances", "parity_profile")
 @pytest.fixture
 def traversals(monkeypatch):
     calls = []
-    for module in (walks, cycles, kronecker, predict, cli):
+    for module in (walks, cycles, kronecker, predict, cli, claims):
         for name in TRAVERSALS:
             real = getattr(module, name, None)
             if real is None:
@@ -54,3 +55,17 @@ def test_metrics_runs_one_profile_and_the_cycle_bound(traversals, capsys):
 def test_predict_runs_one_profile_per_factor(traversals, capsys, pair):
     assert cli.main(["predict", *pair]) == 0
     assert traversals == [PROFILE, PROFILE]
+
+
+def test_parity_extremal_check_runs_one_parity_traversal(traversals):
+    assert claims.REGISTRY["Lem2.6"].check((make_cycle(5),)) is None
+    assert [name for name, _ in traversals] == ["parity_distances"]
+
+
+@pytest.mark.parametrize(
+    "pair", [(make_cycle(5), make_cycle(3)), (make_complete(2), make_cycle(3))]
+)
+def test_mixed_parity_check_gates_on_the_parity_tables(traversals, pair):
+    assert claims.REGISTRY["Lem2.7"].check(pair) is None
+    names = [name for name, _ in traversals]
+    assert "is_connected" not in names and "is_bipartite" not in names
