@@ -79,7 +79,7 @@ def test_bounds_attached_to_prediction():
     assert pred.bounds.lower <= pred.value <= pred.bounds.upper
 
 
-def test_order_one_factor():
+def test_trivial_factor():
     k1_plus = summarize(make_complete(1, with_loops=True))
     k1 = summarize(Graph(1))
     c5 = summarize(make_cycle(5))
