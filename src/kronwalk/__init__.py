@@ -25,6 +25,7 @@ from .cycles import (
 from .edgelist import format_edge_list, parse_edge_list, read_graph, write_graph
 from .extlen import INF, ExtLen, is_finite
 from .graphs import (
+    MAX_ORDER,
     Graph,
     enumerate_graphs,
     is_k_plus,
@@ -40,6 +41,8 @@ from .kronecker import (
     decode_product_vertex,
     encode_product_vertex,
     kronecker_product,
+    product_diameter,
+    product_edge_count,
     product_is_connected,
 )
 from .predict import (
@@ -63,7 +66,6 @@ from .walks import (
     exponent,
     is_bipartite,
     is_connected,
-    is_primitive,
     local_exponent,
     odd_girth,
     parity_distances,
@@ -80,6 +82,7 @@ __all__ = [
     "ExtLen",
     "Graph",
     "INF",
+    "MAX_ORDER",
     "ParityDistances",
     "ParityProfile",
     "adjacency",
@@ -99,7 +102,6 @@ __all__ = [
     "is_connected",
     "is_finite",
     "is_k_plus",
-    "is_primitive",
     "kron_matrix",
     "kronecker_product",
     "l_o_bound",
@@ -121,6 +123,8 @@ __all__ = [
     "predict_k_plus_factor",
     "predict_k_plus_pair",
     "predict_multipartite_factor",
+    "product_diameter",
+    "product_edge_count",
     "product_is_connected",
     "random_graph",
     "read_graph",

@@ -1,7 +1,8 @@
 """Command-line front door.
 
-Commands: ``metrics`` (walk metrics of one graph), ``product`` (build a
-Kronecker product, compare predicted and measured diameter), ``predict``
+Commands: ``metrics`` (walk metrics of one graph), ``product`` (measure a
+Kronecker product's diameter from the factors, compare it with the
+prediction, and optionally write the product out), ``predict``
 (closed-form prediction only), ``verify`` (run claim checkers), and
 ``generate`` (construct a graph and write it out).
 
@@ -45,9 +46,9 @@ from .harness import (
     minimize_counterexample,
     run_campaign,
 )
-from .kronecker import kronecker_product
+from .kronecker import kronecker_product, product_diameter, product_edge_count
 from .predict import DiameterPrediction, predict_diameter, summarize
-from .walks import diameter
+from .walks import parity_distances, profile_of
 
 
 class SpecError(ValueError):
@@ -150,14 +151,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_product(args: argparse.Namespace) -> int:
     g1 = parse_graph_spec(args.graph1)
     g2 = parse_graph_spec(args.graph2)
-    product = kronecker_product(g1, g2)
-    prediction = predict_diameter(summarize(g1), summarize(g2))
-    measured = diameter(product)
     if args.out:
-        _write_output(args.out, product, args.format)
+        _write_output(args.out, kronecker_product(g1, g2), args.format)
+    pd1, pd2 = parity_distances(g1), parity_distances(g2)
+    prediction = predict_diameter(profile_of(pd1), profile_of(pd2))
+    measured = product_diameter(pd1, pd2)
     document = {
-        "order": product.order,
-        "edges": product.edge_count,
+        "order": g1.order * g2.order,
+        "edges": product_edge_count(g1, g2),
         "measured": to_json(measured),
         "match": prediction.value == measured,
         "out": args.out,
@@ -277,7 +278,7 @@ def _build_parser() -> _Parser:
     metrics.add_argument("--cap-cycles", type=int, default=DEFAULT_CYCLE_CAP)
     metrics.set_defaults(func=cmd_metrics)
 
-    product = sub.add_parser("product", help="build a product and check its diameter")
+    product = sub.add_parser("product", help="check the diameter of a product")
     product.add_argument("graph1")
     product.add_argument("graph2")
     product.add_argument("--out", help="write the product to this path")
@@ -317,6 +318,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         _progress(f"error: {exc}")
+        return 1
+    except Exception as exc:  # any other failure still exits 1 with a message
+        _progress(f"error: {type(exc).__name__}: {exc}")
         return 1
 
 

@@ -1,16 +1,17 @@
 """Plain-text edge-list format.
 
-The header line is ``n <order>``.  Every following non-empty line that does
-not start with ``#`` is ``u v`` with 0-based vertex indices; ``u u``
-denotes a loop.  Each undirected edge must appear exactly once, so a
-repeated edge (in either orientation) is an error.
+The header line is ``n <order>``, with the order at most ``MAX_ORDER``.
+Every following non-empty line that does not start with ``#`` is ``u v``
+with 0-based vertex indices; ``u u`` denotes a loop.  Each undirected edge
+must appear exactly once, so a repeated edge (in either orientation) is an
+error.
 """
 
 from __future__ import annotations
 
 import os
 
-from .graphs import Graph
+from .graphs import Graph, check_order
 
 
 def format_edge_list(g: Graph) -> str:
@@ -37,6 +38,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: order is not an integer") from None
             if order < 1:
                 raise ValueError(f"line {lineno}: order must be at least 1")
+            check_order(order)
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -20,6 +20,14 @@ from collections.abc import Iterable, Iterator
 
 ENUM_CAP_LOOPLESS = 5
 ENUM_CAP_LOOPED = 4
+# Largest order any graph may have, products included.
+MAX_ORDER = 100_000
+
+
+def check_order(order: int) -> None:
+    """Refuse an order above MAX_ORDER before anything of that size exists."""
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the limit of {MAX_ORDER}")
 
 
 class Graph:
@@ -30,6 +38,7 @@ class Graph:
     def __init__(self, order: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if order < 1:
             raise ValueError("graph order must be at least 1")
+        check_order(order)
         adjacency: list[set[int]] = [set() for _ in range(order)]
         for u, v in edges:
             if not (0 <= u < order and 0 <= v < order):
@@ -119,6 +128,7 @@ def make_path(n: int) -> Graph:
     """Path on ``n`` vertices, labeled 0..n-1 along the path."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
+    check_order(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -126,6 +136,7 @@ def make_cycle(n: int) -> Graph:
     """Cycle on ``n >= 3`` vertices, labeled in cyclic order."""
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
+    check_order(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -133,6 +144,7 @@ def make_complete(n: int, with_loops: bool = False) -> Graph:
     """Complete graph on ``n`` vertices, optionally with a loop on every vertex."""
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
+    check_order(n)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if with_loops:
         edges.extend((v, v) for v in range(n))
@@ -146,6 +158,7 @@ def make_complete_multipartite(part_sizes: Iterable[int]) -> Graph:
         raise ValueError("need at least two parts")
     if any(s < 1 for s in sizes):
         raise ValueError("every part needs at least one vertex")
+    check_order(sum(sizes))
     part_of: list[int] = []
     for index, size in enumerate(sizes):
         part_of.extend([index] * size)
@@ -173,6 +186,7 @@ def make_h_family(n: int, p: int) -> Graph:
         raise ValueError("clique part needs at least one vertex")
     if n <= p:
         raise ValueError("order must exceed the clique size")
+    check_order(n)
     return _family(n, p, make_complete(p))
 
 
@@ -182,6 +196,7 @@ def make_f_family(n: int, p: int) -> Graph:
         raise ValueError("cycle part needs at least three vertices")
     if n <= p:
         raise ValueError("order must exceed the cycle size")
+    check_order(n)
     return _family(n, p, make_cycle(p))
 
 
@@ -193,6 +208,7 @@ def random_graph(n: int, edge_prob: float, loop_prob: float, seed: int) -> Graph
     """
     if n < 1:
         raise ValueError("graph order must be at least 1")
+    check_order(n)
     for name, prob in (("edge_prob", edge_prob), ("loop_prob", loop_prob)):
         if not 0 <= prob <= 1:
             raise ValueError(f"{name} must lie in [0, 1]")

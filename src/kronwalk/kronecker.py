@@ -6,12 +6,18 @@ vertices are adjacent exactly when both coordinate pairs are adjacent in
 their factors, so each pair of factor edges contributes the two cross
 pairings (which coincide when a factor edge is a loop), and a product
 vertex carries a loop iff both coordinates do.
+
+A product walk is a pair of factor walks of the same length, so the
+product's order, edge count and diameter follow from the factors alone:
+:func:`product_diameter` reads the diameter off the two factors' parity
+tables without building the product.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
-from .walks import is_bipartite, is_connected
+from .extlen import INF, ExtLen
+from .graphs import Graph, check_order
+from .walks import ParityDistances, is_bipartite, is_connected
 
 
 def encode_product_vertex(first: int, second: int, order2: int) -> int:
@@ -24,6 +30,7 @@ def decode_product_vertex(code: int, order2: int) -> tuple[int, int]:
 
 def kronecker_product(g1: Graph, g2: Graph) -> Graph:
     """The tensor product of ``g1`` and ``g2`` under the row-major encoding."""
+    check_order(g1.order * g2.order)
     n2 = g2.order
     edges = []
     for u1, v1 in g1.edges():
@@ -31,6 +38,47 @@ def kronecker_product(g1: Graph, g2: Graph) -> Graph:
             edges.append((u1 * n2 + u2, v1 * n2 + v2))
             edges.append((u1 * n2 + v2, v1 * n2 + u2))
     return Graph(g1.order * n2, edges)
+
+
+def product_edge_count(g1: Graph, g2: Graph) -> int:
+    """Edge count of the product: two per pair of non-loop edges, else one."""
+    l1, l2 = sum(g1.loop_flags), sum(g2.loop_flags)
+    m1, m2 = g1.edge_count - l1, g2.edge_count - l2
+    return 2 * m1 * m2 + m1 * l2 + l1 * m2 + l1 * l2
+
+
+def _parity_pairs(pd: ParityDistances) -> set[tuple[ExtLen, ExtLen]]:
+    # The distinct (odd, even) pairs over all ordered vertex pairs, with the
+    # empty walk counted on the diagonal.
+    pairs = set()
+    for u, (odd_row, even_row) in enumerate(zip(pd.odd, pd.even)):
+        even = list(even_row)
+        even[u] = 0
+        pairs.update(zip(odd_row, even))
+    return pairs
+
+
+def product_diameter(pd1: ParityDistances, pd2: ParityDistances) -> ExtLen:
+    """Diameter of the product of the factors with these parity tables.
+
+    A walk of positive length extends by two by retracing its last edge,
+    so when no factor vertex is isolated, ``(a, b)`` reaches ``(c, d)`` in
+    the least length ``min over parity p of max(d_p(a, c), d_p(b, d))``,
+    where the even distance is 0 on the diagonal.  The diameter is the
+    largest such value, and only distinct pairs of values matter.  An
+    isolated factor vertex leaves its product vertices isolated.
+    """
+    if pd1.order * pd2.order == 1:
+        return 0
+    for pd in (pd1, pd2):
+        if any(pd.even[u][u] == INF for u in range(pd.order)):
+            return INF
+    pairs2 = _parity_pairs(pd2)
+    return max(
+        min(max(o1, o2), max(e1, e2))
+        for o1, e1 in _parity_pairs(pd1)
+        for o2, e2 in pairs2
+    )
 
 
 def product_is_connected(g1: Graph, g2: Graph) -> bool:

@@ -235,13 +235,10 @@ def predict_all_loops(g1: Graph, g2: Graph) -> DiameterPrediction:
     """
     summaries = []
     for label, g in (("first", g1), ("second", g2)):
-        s = summarize(g)
         _require(g.order >= 2, f"{label} factor: order must be at least 2")
+        _require(all(g.loop_flags), f"{label} factor: every vertex must have a loop")
+        s = summarize(g)
         _require(s.connected, f"{label} factor: must be connected")
-        _require(
-            all(g.has_loop(v) for v in range(g.order)),
-            f"{label} factor: every vertex must have a loop",
-        )
         summaries.append(s)
     s1, s2 = summaries
     return _prediction(max(s1.diameter, s2.diameter), s1, s2)

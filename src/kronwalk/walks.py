@@ -209,11 +209,6 @@ def odd_girth(g: Graph) -> ExtLen:
     return parity_profile(g).odd_girth
 
 
-def is_primitive(g: Graph) -> bool:
-    """Connected and contains an odd cycle."""
-    return is_connected(g) and not is_bipartite(g)
-
-
 def local_exponent(pd: ParityDistances, u: int, v: int) -> ExtLen:
     """Least length from which ``(u, v)``-walks of every longer length exist."""
     return max(pd.odd[u][v], pd.even[u][v]) - 1

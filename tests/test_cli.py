@@ -292,3 +292,45 @@ def test_stdout_is_json_only(capsys):
     assert code == 0
     json.loads(out)  # the whole stdout is one JSON document
     assert "instances" in err  # progress goes to stderr
+
+
+def test_oversized_edge_list_header_exits_one_at_once(monkeypatch, tmp_path, capsys):
+    # The header alone must refuse the file: nothing graph-sized is built.
+    import kronwalk.edgelist as edgelist_module
+
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(edgelist_module, "Graph", no_graph)
+    path = tmp_path / "huge.edges"
+    path.write_text("n 1000000000\n0 1\n")
+    code, out, err = run_cli(capsys, "metrics", str(path))
+    assert code == 1 and out == ""
+    assert "exceeds the limit" in err
+
+
+def test_oversized_product_is_measured_but_not_written(tmp_path, capsys):
+    out_path = tmp_path / "product.edges"
+    code, out, err = run_cli(
+        capsys, "product", "cycle:401", "cycle:401", "--out", str(out_path)
+    )
+    assert code == 1 and out == ""
+    assert "exceeds the limit" in err
+    assert not out_path.exists()
+    code, out, _ = run_cli(capsys, "product", "cycle:401", "cycle:401")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["order"] == 401 * 401 and doc["edges"] == 2 * 401 * 401
+    assert doc["measured"] == 400 and doc["match"] is True
+
+
+def test_unexpected_exception_exits_one_with_its_type(monkeypatch, capsys):
+    import kronwalk.cli as cli_module
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_module, "cmd_metrics", broken)
+    code, out, err = run_cli(capsys, "metrics", "cycle:5")
+    assert code == 1 and out == ""
+    assert err == "error: RuntimeError: boom\n"

@@ -13,6 +13,7 @@ from kronwalk import (
     make_path,
     random_graph,
 )
+import kronwalk.graphs as graphs_module
 from kronwalk.walks import is_bipartite, is_connected
 
 from helpers import graphs
@@ -21,6 +22,36 @@ from helpers import graphs
 def test_order_must_be_positive():
     with pytest.raises(ValueError):
         Graph(0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: Graph(n),
+        make_path,
+        make_cycle,
+        make_complete,
+        lambda n: make_complete(n, with_loops=True),
+        lambda n: make_complete_multipartite([n - 3, 3]),
+        lambda n: make_h_family(n, 3),
+        lambda n: make_f_family(n, 3),
+        lambda n: random_graph(n, 0.5, 0.5, 0),
+    ],
+)
+def test_order_guard_refuses_before_building(monkeypatch, build):
+    # Under a small limit, and with Graph refusing any edge list, each
+    # builder must refuse the order before it lists a single edge.
+    monkeypatch.setattr(graphs_module, "MAX_ORDER", 10)
+    build(10)
+    real_init = Graph.__init__
+
+    def no_edges(self, order, edges=()):
+        assert edges == (), "edges were built for an oversized graph"
+        real_init(self, order)
+
+    monkeypatch.setattr(Graph, "__init__", no_edges)
+    with pytest.raises(ValueError, match="exceeds the limit of 10"):
+        build(11)
 
 
 def test_edge_endpoints_validated():

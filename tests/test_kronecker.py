@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 
 from kronwalk import (
+    MAX_ORDER,
     Graph,
     adjacency,
     decode_product_vertex,
     diameter,
     encode_product_vertex,
+    enumerate_graphs,
     is_bipartite,
     is_connected,
     kron_matrix,
@@ -14,6 +16,9 @@ from kronwalk import (
     make_complete,
     make_cycle,
     make_path,
+    parity_distances,
+    product_diameter,
+    product_edge_count,
     product_is_connected,
     random_graph,
 )
@@ -121,3 +126,32 @@ def test_connectivity_criterion_agrees_with_bfs(g1, g2):
         assert product_is_connected(g1, g2) == is_connected(
             kronecker_product(g1, g2)
         )
+
+
+def _assert_measured_without_product(g1, g2):
+    p = kronecker_product(g1, g2)
+    pd1, pd2 = parity_distances(g1), parity_distances(g2)
+    assert product_diameter(pd1, pd2) == diameter(p), (g1, g2)
+    assert product_edge_count(g1, g2) == p.edge_count, (g1, g2)
+
+
+def test_product_metrics_match_the_built_product_exhaustively():
+    # Every pair of graphs of order <= 3 with loops: order-one, edgeless,
+    # disconnected and isolated-vertex factors included.
+    pool = [g for n in range(1, 4) for g in enumerate_graphs(n, allow_loops=True)]
+    assert len(pool) == 74
+    for g1 in pool:
+        for g2 in pool:
+            _assert_measured_without_product(g1, g2)
+
+
+@given(graphs(max_order=8), graphs(max_order=8))
+@settings(max_examples=150, deadline=None)
+def test_product_metrics_match_the_built_product(g1, g2):
+    _assert_measured_without_product(g1, g2)
+
+
+def test_product_order_guard():
+    assert 317 * 317 > MAX_ORDER
+    with pytest.raises(ValueError, match="exceeds"):
+        kronecker_product(make_cycle(317), make_cycle(317))

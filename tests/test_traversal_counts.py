@@ -15,6 +15,7 @@ import kronwalk.kronecker as kronecker
 import kronwalk.predict as predict
 import kronwalk.walks as walks
 from kronwalk import make_complete, make_cycle, summarize
+from kronwalk.harness import with_all_loops
 
 TRAVERSALS = ("parity_distances", "distance_matrix", "is_connected", "is_bipartite")
 PROFILE = ("parity_distances", "parity_profile")
@@ -69,3 +70,36 @@ def test_mixed_parity_check_gates_on_the_parity_tables(traversals, pair):
     assert claims.REGISTRY["Lem2.7"].check(pair) is None
     names = [name for name, _ in traversals]
     assert "is_connected" not in names and "is_bipartite" not in names
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    calls = []
+    real = cli.kronecker_product
+
+    def counted(g1, g2):
+        calls.append((g1.order, g2.order))
+        return real(g1, g2)
+
+    monkeypatch.setattr(cli, "kronecker_product", counted)
+    return calls
+
+
+def test_product_reads_two_parity_tables_and_builds_nothing(traversals, builds, capsys):
+    assert cli.main(["product", "cycle:59", "cycle:61"]) == 0
+    assert traversals == [("parity_distances", "cmd_product")] * 2
+    assert builds == []
+
+
+def test_product_builds_the_product_once_for_out(traversals, builds, capsys, tmp_path):
+    out = str(tmp_path / "p.edges")
+    assert cli.main(["product", "cycle:5", "path:4", "--out", out]) == 0
+    assert traversals == [("parity_distances", "cmd_product")] * 2
+    assert builds == [(5, 4)]
+
+
+def test_all_loops_closed_form_runs_one_profile_per_factor(traversals):
+    pair = (make_complete(3, with_loops=True), with_all_loops(make_cycle(5)))
+    assert claims.REGISTRY["CorLoops"].check(pair) is None
+    # One profile per factor for the closed form, one BFS over the product.
+    assert sorted(traversals) == sorted([PROFILE, PROFILE, ("distance_matrix", "diameter")])

@@ -9,7 +9,6 @@ from kronwalk import (
     is_bipartite,
     is_connected,
     is_k_plus,
-    is_primitive,
     local_exponent,
     make_complete,
     make_cycle,
@@ -95,12 +94,6 @@ def test_bipartite_iff_infinite_odd_girth(g):
     assert is_bipartite(g) == (odd_girth(g) == INF)
 
 
-def test_is_primitive():
-    assert is_primitive(make_cycle(3))
-    assert not is_primitive(make_cycle(4))
-    assert not is_primitive(Graph(4, [(0, 1), (2, 3)]))
-
-
 def test_local_exponent_examples():
     pd = parity_distances(make_cycle(3))
     assert local_exponent(pd, 0, 1) == 1
@@ -135,7 +128,10 @@ def test_exponent_report_structure():
 @given(graphs(max_order=6))
 @settings(max_examples=150, deadline=None)
 def test_exponent_infinite_iff_not_primitive(g):
-    assert (exponent(g).gamma == INF) == (not is_primitive(g))
+    # Primitive means connected with an odd cycle; two BFS decide it here,
+    # independently of the parity table behind the exponent.
+    primitive = is_connected(g) and not is_bipartite(g)
+    assert (exponent(g).gamma == INF) == (not primitive)
 
 
 @given(graphs(max_order=8))
@@ -167,7 +163,7 @@ def test_local_exponent_tight_against_walk_enumeration(g):
 @given(graphs(max_order=6))
 @settings(max_examples=100, deadline=None)
 def test_primitive_exponent_at_most_twice_diameter(g):
-    if is_primitive(g) and g.order >= 2:
+    if is_connected(g) and not is_bipartite(g) and g.order >= 2:
         assert exponent(g).gamma <= 2 * diameter(g)
 
 
@@ -186,7 +182,7 @@ def test_parity_extremal_pairs_small_exhaustive():
 
     for n in range(2, 5):
         for g in enumerate_graphs(n, allow_loops=True, cap=4):
-            if not is_primitive(g):
+            if not is_connected(g) or is_bipartite(g):
                 continue
             gamma = exponent(g).gamma
             pd = parity_distances(g)
