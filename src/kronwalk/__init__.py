@@ -19,12 +19,12 @@ from .cycles import (
     DEFAULT_CYCLE_CAP,
     CycleBoundReport,
     enumerate_odd_cycles,
-    eccentricity_to_cycle,
     l_o_bound,
 )
 from .edgelist import format_edge_list, parse_edge_list, read_graph, write_graph
 from .extlen import INF, ExtLen, is_finite
 from .graphs import (
+    MAX_EDGES,
     MAX_ORDER,
     Graph,
     enumerate_graphs,
@@ -38,8 +38,6 @@ from .graphs import (
     random_graph,
 )
 from .kronecker import (
-    decode_product_vertex,
-    encode_product_vertex,
     kronecker_product,
     product_diameter,
     product_edge_count,
@@ -53,7 +51,6 @@ from .predict import (
     predict_diameter,
     predict_family_product,
     predict_k_plus_factor,
-    predict_k_plus_pair,
     predict_multipartite_factor,
     summarize,
 )
@@ -69,7 +66,6 @@ from .walks import (
     local_exponent,
     odd_girth,
     parity_distances,
-    parity_profile,
 )
 
 __all__ = [
@@ -82,18 +78,16 @@ __all__ = [
     "ExtLen",
     "Graph",
     "INF",
+    "MAX_EDGES",
     "MAX_ORDER",
     "ParityDistances",
     "ParityProfile",
     "adjacency",
     "bool_mul",
     "bool_pow",
-    "decode_product_vertex",
     "diameter",
     "diameter_bounds",
     "distance_matrix",
-    "eccentricity_to_cycle",
-    "encode_product_vertex",
     "enumerate_graphs",
     "enumerate_odd_cycles",
     "exponent",
@@ -115,13 +109,11 @@ __all__ = [
     "odd_girth",
     "oracle_exponent",
     "parity_distances",
-    "parity_profile",
     "parse_edge_list",
     "predict_all_loops",
     "predict_diameter",
     "predict_family_product",
     "predict_k_plus_factor",
-    "predict_k_plus_pair",
     "predict_multipartite_factor",
     "product_diameter",
     "product_edge_count",

@@ -62,6 +62,7 @@ _FAMILIES = {
     "complete+": (lambda n: make_complete(n, with_loops=True), 1),
     "H": (make_h_family, 2),
     "F": (make_f_family, 2),
+    "multipartite": (lambda *sizes: make_complete_multipartite(sizes), None),
 }
 
 
@@ -73,12 +74,6 @@ def parse_graph_spec(spec: str) -> Graph:
         args = _int_args(spec, rest, arity)
         try:
             return builder(*args)
-        except ValueError as exc:
-            raise SpecError(f"{spec}: {exc}") from None
-    if sep and head == "multipartite":
-        args = _int_args(spec, rest, None)
-        try:
-            return make_complete_multipartite(args)
         except ValueError as exc:
             raise SpecError(f"{spec}: {exc}") from None
     try:

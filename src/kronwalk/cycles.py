@@ -11,12 +11,11 @@ cycles of length one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 from .extlen import INF, ExtLen
 from .graphs import Graph
-from .walks import Matrix, distance_matrix, is_connected
+from .walks import Matrix, distance_matrix
 
 DEFAULT_CYCLE_CAP = 100_000
 
@@ -57,39 +56,16 @@ def _simple_cycles_from(g: Graph, anchor: int) -> Iterator[OddCycle]:
             on_path.remove(path.pop())
 
 
-def _all_odd_cycles(g: Graph) -> Iterator[OddCycle]:
+def enumerate_odd_cycles(g: Graph) -> Iterator[OddCycle]:
+    """Yield each simple odd cycle once, as a vertex tuple in cyclic order.
+
+    A loop at v is the length-1 cycle ``(v,)``.  The stream is deterministic:
+    anchored at the smallest vertex, lexicographic extension.
+    """
     for anchor in range(g.order):
         if g.has_loop(anchor):
             yield (anchor,)
         yield from _simple_cycles_from(g, anchor)
-
-
-def enumerate_odd_cycles(g: Graph, cap: int | None = None) -> Iterator[OddCycle]:
-    """Yield each simple odd cycle once, as a vertex tuple in cyclic order.
-
-    A loop at v is the length-1 cycle ``(v,)``.  The stream is deterministic
-    (anchored at the smallest vertex, lexicographic extension) and stops
-    silently after ``cap`` cycles when a cap is given.
-    """
-    cycles = _all_odd_cycles(g)
-    return cycles if cap is None else islice(cycles, cap)
-
-
-def _check_cycle(g: Graph, cycle: OddCycle) -> None:
-    if len(cycle) % 2 == 0 or not cycle:
-        raise ValueError("cycle must have odd length")
-    if len(set(cycle)) != len(cycle):
-        raise ValueError("cycle vertices must be distinct")
-    for v in cycle:
-        if not 0 <= v < g.order:
-            raise ValueError(f"cycle vertex {v} out of range")
-    if len(cycle) == 1:
-        if not g.has_loop(cycle[0]):
-            raise ValueError(f"vertex {cycle[0]} has no loop")
-        return
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        if not g.has_edge(a, b):
-            raise ValueError(f"cycle edge ({a}, {b}) not present")
 
 
 def _eccentricity(dist: Matrix, cycle: OddCycle) -> int:
@@ -104,14 +80,6 @@ def _eccentricity(dist: Matrix, cycle: OddCycle) -> int:
     )
 
 
-def eccentricity_to_cycle(g: Graph, cycle: OddCycle) -> int:
-    """Largest distance from a vertex outside the cycle to the cycle (0 if none)."""
-    _check_cycle(g, cycle)
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    return _eccentricity(distance_matrix(g), cycle)
-
-
 def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
     """Minimum of ``2 * ecc(C) + |C| - 1`` over enumerated odd cycles.
 
@@ -121,14 +89,14 @@ def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
     dist = distance_matrix(g)
+    if INF in dist[0]:
+        raise ValueError("graph must be connected")
     best: ExtLen = INF
     best_cycle: OddCycle | None = None
     considered = 0
     exact = True
-    for cycle in _all_odd_cycles(g):
+    for cycle in enumerate_odd_cycles(g):
         if considered >= cap:
             exact = False
             break

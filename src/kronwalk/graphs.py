@@ -22,12 +22,21 @@ ENUM_CAP_LOOPLESS = 5
 ENUM_CAP_LOOPED = 4
 # Largest order any graph may have, products included.
 MAX_ORDER = 100_000
+# Largest edge count of a dense family graph or a product; each listed edge
+# costs a few hundred bytes until the graph is built.
+MAX_EDGES = 1_000_000
 
 
 def check_order(order: int) -> None:
     """Refuse an order above MAX_ORDER before anything of that size exists."""
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds the limit of {MAX_ORDER}")
+
+
+def check_edges(count: int) -> None:
+    """Refuse an edge count above MAX_EDGES before any edge is listed."""
+    if count > MAX_EDGES:
+        raise ValueError(f"edge count {count} exceeds the limit of {MAX_EDGES}")
 
 
 class Graph:
@@ -145,6 +154,7 @@ def make_complete(n: int, with_loops: bool = False) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
     check_order(n)
+    check_edges(n * (n - 1) // 2 + (n if with_loops else 0))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if with_loops:
         edges.extend((v, v) for v in range(n))
@@ -159,6 +169,7 @@ def make_complete_multipartite(part_sizes: Iterable[int]) -> Graph:
     if any(s < 1 for s in sizes):
         raise ValueError("every part needs at least one vertex")
     check_order(sum(sizes))
+    check_edges((sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2)
     part_of: list[int] = []
     for index, size in enumerate(sizes):
         part_of.extend([index] * size)
@@ -223,16 +234,13 @@ def random_graph(n: int, edge_prob: float, loop_prob: float, seed: int) -> Graph
     return Graph(n, edges)
 
 
-def enumerate_graphs(
-    n: int, allow_loops: bool = False, cap: int | None = None
-) -> Iterator[Graph]:
+def enumerate_graphs(n: int, allow_loops: bool = False) -> Iterator[Graph]:
     """Yield every labeled graph on ``n`` vertices exactly once.
 
     There are ``2**C(n, 2)`` graphs, times ``2**n`` when loops are allowed,
-    so ``n`` is refused above ``cap`` (default 5 loopless, 4 with loops).
+    so ``n`` is refused above 5 loopless and 4 with loops.
     """
-    if cap is None:
-        cap = ENUM_CAP_LOOPED if allow_loops else ENUM_CAP_LOOPLESS
+    cap = ENUM_CAP_LOOPED if allow_loops else ENUM_CAP_LOOPLESS
     if n < 1:
         raise ValueError("graph order must be at least 1")
     if n > cap:

@@ -158,23 +158,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return place(0)
 
 
-def clique_number(g: Graph) -> int:
-    """Largest set of pairwise-adjacent distinct vertices (loops ignored)."""
-    best = 1
-
-    def extend(size: int, candidates: list[int]) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        for i, v in enumerate(candidates):
-            if size + len(candidates) - i <= best:
-                return
-            extend(size + 1, [w for w in candidates[i + 1 :] if g.has_edge(v, w)])
-
-    extend(0, list(range(g.order)))
-    return best
-
-
 def complete_multipartite_parts(g: Graph) -> list[int] | None:
     """Part sizes if ``g`` is complete multipartite and loopless, else None."""
     n = g.order
@@ -475,7 +458,7 @@ def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
         spec, rng, max_random_order=RANDOM_SINGLE_ORDER
     ),
 )
-def _check_cycle_bound(instance: Instance) -> Failure | None:
+def _check_l_o_bound(instance: Instance) -> Failure | None:
     (g,) = instance
     # A lone looped vertex has exponent 1 but cycle bound 0; the claim is
     # about nontrivial graphs.
@@ -554,9 +537,9 @@ def _check_clique_family_exponent(instance: Instance) -> Failure | None:
     actual = summarize(g).exponent
     if not is_finite(actual) or any(g.has_loop(v) for v in range(g.order)):
         return None  # not primitive, or looped
-    p = clique_number(g)
     n = g.order
-    if p < 3 or n <= p or not are_isomorphic(g, make_h_family(n, p)):
+    p = next((q for q in range(3, n) if are_isomorphic(g, make_h_family(n, q))), None)
+    if p is None:
         return None
     expected = 2 * n - 2 * p + 2
     if actual != expected:

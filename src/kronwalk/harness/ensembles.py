@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..graphs import Graph, enumerate_graphs, random_graph
 from ..walks import is_connected
@@ -41,20 +41,14 @@ def connected_graphs(
                 yield g
 
 
-def random_connected(
-    rng: random.Random,
-    max_order: int,
-    min_order: int = 2,
-    loops: bool = True,
-    accept: Callable[[Graph], bool] | None = None,
-) -> Graph:
-    """Rejection-sample a connected random graph, optionally filtered."""
+def random_connected(rng: random.Random, max_order: int, loops: bool = True) -> Graph:
+    """Rejection-sample a connected random graph of order 2 to ``max_order``."""
     while True:
-        n = rng.randint(min_order, max_order)
+        n = rng.randint(2, max_order)
         edge_prob = rng.uniform(0.3, 0.9)
         loop_prob = rng.uniform(0.0, 0.6) if loops else 0.0
         g = random_graph(n, edge_prob, loop_prob, seed=rng.randrange(2**60))
-        if is_connected(g) and (accept is None or accept(g)):
+        if is_connected(g):
             return g
 
 

@@ -16,21 +16,14 @@ tables without building the product.
 from __future__ import annotations
 
 from .extlen import INF, ExtLen
-from .graphs import Graph, check_order
+from .graphs import Graph, check_edges, check_order
 from .walks import ParityDistances, is_bipartite, is_connected
-
-
-def encode_product_vertex(first: int, second: int, order2: int) -> int:
-    return first * order2 + second
-
-
-def decode_product_vertex(code: int, order2: int) -> tuple[int, int]:
-    return divmod(code, order2)
 
 
 def kronecker_product(g1: Graph, g2: Graph) -> Graph:
     """The tensor product of ``g1`` and ``g2`` under the row-major encoding."""
     check_order(g1.order * g2.order)
+    check_edges(product_edge_count(g1, g2))
     n2 = g2.order
     edges = []
     for u1, v1 in g1.edges():

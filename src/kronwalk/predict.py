@@ -8,9 +8,9 @@ value, which folds the bipartite case into the same trichotomy; two
 bipartite (or any disconnected) factors give a disconnected product.
 
 Alongside the general formula this module evaluates the special closed
-forms: products of complete-with-loops factors, a complete multipartite
-factor, factors whose exponent is exactly twice their diameter (the
-path-plus-clique and path-plus-odd-cycle families), and all-loops factors.
+forms: a complete-with-loops factor, a complete multipartite factor,
+factors whose exponent is exactly twice their diameter (the path-plus-clique
+and path-plus-odd-cycle families), and all-loops factors.
 Every predictor returns its record through one builder, which names the
 case by comparing the two factor exponents.
 """
@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .extlen import INF, ExtLen, is_finite
 from .graphs import Graph
-from .walks import ParityProfile, parity_profile
+from .walks import ParityProfile, parity_distances, profile_of
 
 CASE_EQUAL_EXPONENTS = "EqualExponents"
 CASE_GAMMA1_GREATER = "Gamma1Greater"
@@ -49,8 +49,11 @@ class DiameterPrediction:
 
 
 def summarize(g: Graph) -> ParityProfile:
-    """Everything the predictors need to know about one factor."""
-    return parity_profile(g)
+    """Everything the predictors need to know about one factor.
+
+    One call to :func:`parity_distances`; no n x n table outlives the call.
+    """
+    return profile_of(parity_distances(g))
 
 
 def diameter_bounds(s1: ParityProfile, s2: ParityProfile) -> Bounds:
@@ -129,16 +132,6 @@ def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
-
-
-def predict_k_plus_pair(
-    s1: ParityProfile, s2: ParityProfile
-) -> DiameterPrediction:
-    """Both factors complete with all loops: the product has diameter 1."""
-    for label, s in (("first", s1), ("second", s2)):
-        _require(s.order >= 2, f"{label} factor: order must be at least 2")
-        _require(s.is_k_plus, f"{label} factor: not complete with a loop everywhere")
-    return _prediction(1, s1, s2)
 
 
 def predict_k_plus_factor(

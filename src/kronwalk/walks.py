@@ -93,11 +93,11 @@ def parity_distances(g: Graph) -> ParityDistances:
         odd_rows.append(tuple(dist_odd))
         even_rows.append(dist_even)
     # The BFS start state makes even[u][u] = 0 via the empty walk; replace it
-    # with the shortest positive even closed walk.
+    # with the shortest positive even closed walk.  That is 2 whenever u has
+    # a neighbour (out and back along one edge, or twice round a loop), and
+    # none exists otherwise.
     for u in range(n):
-        even_rows[u][u] = min(
-            (odd_rows[u][w] + 1 for w in g.neighbors(u)), default=INF
-        )
+        even_rows[u][u] = 2 if g.neighbors(u) else INF
     return ParityDistances(
         order=n,
         odd=tuple(odd_rows),
@@ -105,16 +105,11 @@ def parity_distances(g: Graph) -> ParityDistances:
     )
 
 
-def parity_profile(g: Graph) -> ParityProfile:
+def profile_of(pd: ParityDistances) -> ParityProfile:
     """Connectivity, bipartiteness, odd girth, diameter and exponent at once.
 
-    One call to :func:`parity_distances`; no n x n table outlives the call.
+    Read off an existing parity table in one pass over its rows.
     """
-    return profile_of(parity_distances(g))
-
-
-def profile_of(pd: ParityDistances) -> ParityProfile:
-    """The profile read off an existing parity table in one pass over its rows."""
     diam: ExtLen = 0
     girth: ExtLen = INF
     top: ExtLen = 0  # largest max(odd, even) so far; every entry is >= 2
@@ -206,7 +201,7 @@ def odd_girth(g: Graph) -> ExtLen:
     The shortest odd closed walk through any vertex is a cycle, so this is
     the smallest odd diagonal entry.
     """
-    return parity_profile(g).odd_girth
+    return profile_of(parity_distances(g)).odd_girth
 
 
 def local_exponent(pd: ParityDistances, u: int, v: int) -> ExtLen:
@@ -216,5 +211,5 @@ def local_exponent(pd: ParityDistances, u: int, v: int) -> ExtLen:
 
 def exponent(g: Graph) -> ExponentReport:
     """Global exponent: the maximum per-pair exponent; INF iff not primitive."""
-    profile = parity_profile(g)
+    profile = profile_of(parity_distances(g))
     return ExponentReport(gamma=profile.exponent, witness_pair=profile.witness_pair)

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,6 +89,19 @@ def test_metrics_bad_spec(capsys):
     assert code == 1
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("multipartite:1", "multipartite:1: need at least two parts"),
+        ("multipartite:2,x", "multipartite:2,x: parameters must be integers"),
+    ],
+)
+def test_metrics_bad_multipartite_spec(capsys, spec, message):
+    code, out, err = run_cli(capsys, "metrics", spec)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_product_writes_file_and_matches(tmp_path, capsys):
@@ -322,6 +339,36 @@ def test_oversized_product_is_measured_but_not_written(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["order"] == 401 * 401 and doc["edges"] == 2 * 401 * 401
     assert doc["measured"] == 400 and doc["match"] is True
+
+
+def run_cli_capped(cwd, *argv):
+    # A child process capped at 256 MB of address space, so that a missing
+    # size guard ends in MemoryError instead of allocating gigabytes.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "kronwalk.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=cap, timeout=60,
+    )
+
+
+def test_oversized_complete_graph_exits_one_at_once(tmp_path):
+    # 100,000 vertices pass MAX_ORDER; about 5 * 10**9 edges do not pass
+    # MAX_EDGES.
+    result = run_cli_capped(tmp_path, "generate", "complete:100000")
+    assert result.returncode == 1 and result.stdout == ""
+    assert "edge count 4999950000 exceeds the limit" in result.stderr
+
+
+def test_product_above_the_edge_limit_is_not_written(tmp_path):
+    result = run_cli_capped(
+        tmp_path, "product", "complete:800", "complete:3", "--out", "p.edges"
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert "edge count 1917600 exceeds the limit" in result.stderr
+    assert not (tmp_path / "p.edges").exists()
 
 
 def test_unexpected_exception_exits_one_with_its_type(monkeypatch, capsys):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from kronwalk import (
     INF,
     Graph,
-    eccentricity_to_cycle,
     enumerate_odd_cycles,
     exponent,
     is_connected,
@@ -52,30 +51,13 @@ def test_long_cycle_enumerates_without_recursion():
     assert list(enumerate_odd_cycles(make_cycle(999))) == [tuple(range(999))]
 
 
-def test_enumeration_cap():
-    capped = list(enumerate_odd_cycles(make_complete(5), cap=3))
-    assert len(capped) == 3
-
-
 def test_eccentricity_examples():
-    c5 = make_cycle(5)
-    assert eccentricity_to_cycle(c5, (0, 1, 2, 3, 4)) == 0
-    assert eccentricity_to_cycle(make_f_family(5, 3), (2, 3, 4)) == 2
-    assert eccentricity_to_cycle(make_h_family(6, 3), (3, 4, 5)) == 3
-
-
-def test_eccentricity_validates_cycle():
-    c5 = make_cycle(5)
-    with pytest.raises(ValueError):
-        eccentricity_to_cycle(c5, (0, 1, 2))  # chord (2, 0) missing
-    with pytest.raises(ValueError):
-        eccentricity_to_cycle(c5, (0, 1, 2, 3))  # even length
-    with pytest.raises(ValueError):
-        eccentricity_to_cycle(c5, (0,))  # no loop at 0
-    with pytest.raises(ValueError):
-        eccentricity_to_cycle(c5, (0, 1, 7))
-    with pytest.raises(ValueError):
-        eccentricity_to_cycle(Graph(4, [(0, 1), (1, 2), (2, 0)]), (0, 1, 2))
+    # 2 * ecc(C) + |C| - 1 with the only odd cycle as C: ecc 0, 2 and 3.
+    assert l_o_bound(make_cycle(5)).best_cycle == (0, 1, 2, 3, 4)
+    report = l_o_bound(make_f_family(5, 3))
+    assert (report.l_o, report.best_cycle) == (6, (2, 3, 4))
+    report = l_o_bound(make_h_family(6, 3))
+    assert (report.l_o, report.best_cycle) == (8, (3, 4, 5))
 
 
 def test_bound_examples():
@@ -86,8 +68,12 @@ def test_bound_examples():
 
 
 def test_bound_requires_connected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="connected"):
         l_o_bound(Graph(4, [(0, 1), (2, 3)]))
+    # an order-one graph is connected: no cycle, or its loop
+    assert l_o_bound(Graph(1)).l_o == INF
+    report = l_o_bound(Graph(1, [(0, 0)]))
+    assert (report.l_o, report.best_cycle) == (0, (0,))
 
 
 @pytest.mark.parametrize("cap", [0, -1])

@@ -54,6 +54,31 @@ def test_order_guard_refuses_before_building(monkeypatch, build):
         build(11)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        make_complete,
+        lambda n: make_complete(n, with_loops=True),
+        lambda n: make_complete_multipartite([n - 3, 3]),
+    ],
+)
+def test_edge_guard_refuses_before_building(monkeypatch, build):
+    # Under a limit of build(6)'s edge count, and with Graph refusing any
+    # edge list, build(7) must refuse its edge count before listing an edge.
+    limit = build(6).edge_count
+    monkeypatch.setattr(graphs_module, "MAX_EDGES", limit)
+    build(6)
+    real_init = Graph.__init__
+
+    def no_edges(self, order, edges=()):
+        assert edges == (), "edges were listed for an oversized graph"
+        real_init(self, order)
+
+    monkeypatch.setattr(Graph, "__init__", no_edges)
+    with pytest.raises(ValueError, match=f"exceeds the limit of {limit}"):
+        build(7)
+
+
 def test_edge_endpoints_validated():
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])
@@ -200,5 +225,3 @@ def test_enumerate_cap():
         list(enumerate_graphs(5, allow_loops=True))
     with pytest.raises(ValueError):
         next(enumerate_graphs(9, allow_loops=True))  # refused before any graph
-    # an explicit cap raises the limit
-    assert sum(1 for _ in enumerate_graphs(5, allow_loops=True, cap=5)) == 2 ** (10 + 5)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from kronwalk import (
@@ -25,7 +27,6 @@ from kronwalk.harness import claims
 from kronwalk.harness.claims import (
     REGISTRY,
     are_isomorphic,
-    clique_number,
     complete_multipartite_parts,
 )
 
@@ -88,6 +89,24 @@ def test_sandwich_claim_checks_the_shipped_bounds(monkeypatch):
     monkeypatch.setattr(claims, "diameter_bounds", raised)
     (outcome,) = run_campaign(["Thm3.2"], SMALL, seed=0)
     assert outcome.counterexample is not None
+
+
+def test_clique_family_claim_finds_the_clique_size(monkeypatch):
+    # Cor3.2 reads p off the family the graph is isomorphic to: H(7, 4)
+    # must be checked against 2 * 7 - 2 * 4 + 2 = 8, and a graph outside
+    # the family skipped.
+    check = REGISTRY["Cor3.2"].check
+    assert check((make_h_family(7, 4),)) is None
+    real = claims.summarize
+
+    def shifted(g):
+        s = real(g)
+        return dataclasses.replace(s, exponent=s.exponent + 1)
+
+    monkeypatch.setattr(claims, "summarize", shifted)
+    failure = check((make_h_family(7, 4),))
+    assert (failure.expected, failure.actual) == (8, 9)
+    assert check((make_f_family(7, 5),)) is None
 
 
 def test_diameter_claim_compares_the_closed_form_with_bfs():
@@ -164,13 +183,6 @@ def test_are_isomorphic():
     assert are_isomorphic(looped, other)
     assert not are_isomorphic(looped, make_complete(2))
     assert are_isomorphic(make_f_family(6, 3), make_f_family(6, 3))
-
-
-def test_clique_number():
-    assert clique_number(make_complete(4)) == 4
-    assert clique_number(make_cycle(5)) == 2
-    assert clique_number(make_h_family(6, 4)) == 4
-    assert clique_number(Graph(1)) == 1
 
 
 def test_complete_multipartite_recognizer():

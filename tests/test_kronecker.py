@@ -5,9 +5,7 @@ from kronwalk import (
     MAX_ORDER,
     Graph,
     adjacency,
-    decode_product_vertex,
     diameter,
-    encode_product_vertex,
     enumerate_graphs,
     is_bipartite,
     is_connected,
@@ -22,13 +20,16 @@ from kronwalk import (
     product_is_connected,
     random_graph,
 )
+import kronwalk.graphs as graphs_module
 
 from helpers import graphs
 
 
 def test_vertex_encoding_round_trip():
-    assert encode_product_vertex(2, 1, 3) == 7
-    assert decode_product_vertex(7, 3) == (2, 1)
+    # vertex (a, b) of the product is a * n2 + b: the lone product loop of
+    # a loop at 2 (of 3) and a loop at 1 (of 3) sits at 7
+    p = kronecker_product(Graph(3, [(2, 2)]), Graph(3, [(1, 1)]))
+    assert list(p.edges()) == [(7, 7)]
 
 
 def test_k2_times_k2_splits():
@@ -75,7 +76,7 @@ def test_product_loops_need_both_loops():
     p = kronecker_product(g1, g2)
     loops = [v for v in range(4) if p.has_loop(v)]
     # only (0, 1): coordinate 0 is looped in g1, coordinate 1 in g2
-    assert loops == [encode_product_vertex(0, 1, 2)]
+    assert loops == [0 * 2 + 1]
 
 
 @given(graphs(max_order=5, loops=False), graphs(max_order=5, loops=False))
@@ -93,8 +94,8 @@ def test_commutes_under_coordinate_swap(g1, g2):
     n1, n2 = g1.order, g2.order
 
     def swap(code):
-        a, b = decode_product_vertex(code, n2)
-        return encode_product_vertex(b, a, n1)
+        a, b = divmod(code, n2)
+        return b * n1 + a
 
     swapped = [(swap(u), swap(v)) for u, v in p12.edges()]
     assert Graph(n1 * n2, swapped) == p21
@@ -149,6 +150,21 @@ def test_product_metrics_match_the_built_product_exhaustively():
 @settings(max_examples=150, deadline=None)
 def test_product_metrics_match_the_built_product(g1, g2):
     _assert_measured_without_product(g1, g2)
+
+
+def test_product_edge_guard(monkeypatch):
+    g1, g2, big = make_cycle(5), make_complete(2), make_cycle(6)
+    monkeypatch.setattr(graphs_module, "MAX_EDGES", 10)
+    assert kronecker_product(g1, g2).edge_count == 10
+    real_init = Graph.__init__
+
+    def no_edges(self, order, edges=()):
+        assert edges == (), "edges were listed for an oversized product"
+        real_init(self, order)
+
+    monkeypatch.setattr(Graph, "__init__", no_edges)
+    with pytest.raises(ValueError, match="edge count 12 exceeds the limit of 10"):
+        kronecker_product(big, g2)
 
 
 def test_product_order_guard():

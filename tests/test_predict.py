@@ -18,7 +18,6 @@ from kronwalk import (
     predict_diameter,
     predict_family_product,
     predict_k_plus_factor,
-    predict_k_plus_pair,
     predict_multipartite_factor,
     summarize,
 )
@@ -113,13 +112,11 @@ def test_order_one_prediction_matches_brute_force(g1, g2):
 
 
 def test_k_plus_pair():
-    s2 = summarize(make_complete(2, with_loops=True))
-    s3 = summarize(make_complete(3, with_loops=True))
-    assert predict_k_plus_pair(s2, s3).value == 1
-    with pytest.raises(ValueError, match="second factor"):
-        predict_k_plus_pair(s2, summarize(make_complete(3)))
-    with pytest.raises(ValueError, match="order"):
-        predict_k_plus_pair(summarize(make_complete(1, with_loops=True)), s3)
+    # diameter 1 exactly when both factors are complete with all loops
+    k2p, k3p = make_complete(2, with_loops=True), make_complete(3, with_loops=True)
+    assert predict_diameter(summarize(k2p), summarize(k3p)).value == 1
+    assert diameter(kronecker_product(k2p, k3p)) == 1
+    assert predict_diameter(summarize(k2p), summarize(make_complete(3))).value == 2
 
 
 def test_k_plus_factor():
@@ -198,9 +195,7 @@ def test_all_loops():
 def test_special_forms_agree_with_main_formula():
     # Each special closed form restates the general trichotomy on its own
     # hypothesis domain.
-    k2p = summarize(make_complete(2, with_loops=True))
     k3p = summarize(make_complete(3, with_loops=True))
-    assert predict_k_plus_pair(k2p, k3p).value == predict_diameter(k2p, k3p).value
     for other in (make_path(4), make_complete(4), make_cycle(5)):
         s = summarize(other)
         assert (

@@ -1,0 +1,49 @@
+"""Every exported name has a use inside the package.
+
+A name in ``kronwalk.__all__`` must appear as code somewhere in
+``src/kronwalk/`` outside the package ``__init__.py``: not as the name of
+its own ``def`` or ``class``, not as an attribute after a dot, and not in
+a comment or a string.  So the CLI, the verify harness or a cross-check
+route uses it.  The only exceptions are the names below, kept for outside
+callers.
+"""
+
+import tokenize
+from pathlib import Path
+
+import kronwalk
+
+# The boolean-power reference that the tests compare the walk route with,
+# and the odd girth that outside reference checks read.
+KEPT_FOR_OUTSIDE_CALLERS = ("oracle_exponent", "bool_pow", "kron_matrix", "odd_girth")
+
+PACKAGE = Path(kronwalk.__file__).parent
+
+
+def _names_used_inside_the_package() -> set[str]:
+    used = set()
+    for path in PACKAGE.rglob("*.py"):
+        if path == PACKAGE / "__init__.py":
+            continue
+        previous = None
+        with tokenize.open(path) as handle:
+            for token in tokenize.generate_tokens(handle.readline):
+                if token.type == tokenize.NAME and previous not in ("def", "class", "."):
+                    used.add(token.string)
+                if token.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
+                    previous = token.string
+    return used
+
+
+def test_every_export_is_used_inside_the_package():
+    used = _names_used_inside_the_package()
+    unused = [
+        name
+        for name in kronwalk.__all__
+        if name not in KEPT_FOR_OUTSIDE_CALLERS and name not in used
+    ]
+    assert unused == []
+
+
+def test_names_kept_for_outside_callers_are_exported():
+    assert set(KEPT_FOR_OUTSIDE_CALLERS) <= set(kronwalk.__all__)
