@@ -38,7 +38,6 @@ from .graphs import (
 )
 from .harness import (
     CLAIM_IDS,
-    Counterexample,
     EnsembleSpec,
     counterexample_to_json,
     get_claim,
@@ -189,6 +188,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         claim_ids = list(CLAIM_IDS)
     else:
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
+    if not claim_ids:
+        raise ValueError(f"--claims names no claim: {args.claims!r}")
     for claim_id in claim_ids:
         get_claim(claim_id)  # fail fast on unknown ids
     ensemble = EnsembleSpec(exhaustive_order=args.exhaustive, random_count=args.random)
@@ -209,15 +210,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if outcome.counterexample is not None:
             failed = True
             claim = get_claim(outcome.claim_id)
-            minimized = minimize_counterexample(claim, outcome.counterexample.graphs)
-            failure = claim.check(minimized)
+            minimized = minimize_counterexample(claim, outcome.counterexample)
             entry["counterexample"] = counterexample_to_json(
-                Counterexample(
-                    graphs=minimized,
-                    expected=failure.expected,
-                    actual=failure.actual,
-                    detail=failure.detail,
-                )
+                minimized, claim.check(minimized)
             )
         results.append(entry)
     _emit(

@@ -101,6 +101,10 @@ def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
             exact = False
             break
         considered += 1
+        # The value is at least len(cycle) - 1, plus 2 while the cycle
+        # misses a vertex, which then lies at distance at least 1 from it.
+        if len(cycle) - 1 + (2 if len(cycle) < g.order else 0) >= best:
+            continue
         value = 2 * _eccentricity(dist, cycle) + len(cycle) - 1
         if value < best:
             best = value

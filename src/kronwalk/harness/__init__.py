@@ -2,7 +2,6 @@
 
 from .campaign import (
     CheckOutcome,
-    Counterexample,
     counterexample_to_json,
     get_claim,
     graph_to_json,
@@ -16,7 +15,6 @@ __all__ = [
     "CLAIM_IDS",
     "CheckOutcome",
     "Claim",
-    "Counterexample",
     "EnsembleSpec",
     "Failure",
     "REGISTRY",

@@ -14,23 +14,17 @@ from typing import Iterator
 
 from ..extlen import to_json
 from ..graphs import Graph
-from .claims import CLAIM_IDS, REGISTRY, Claim, Instance
+from .claims import CLAIM_IDS, REGISTRY, Claim, Failure, Instance
 from .ensembles import EnsembleSpec
 
 
 @dataclass(frozen=True)
-class Counterexample:
-    graphs: tuple[Graph, ...]
-    expected: object
-    actual: object
-    detail: str
-
-
-@dataclass(frozen=True)
 class CheckOutcome:
+    """A claim's run: ``counterexample`` is its first failing instance."""
+
     claim_id: str
     instances_checked: int
-    counterexample: Counterexample | None
+    counterexample: Instance | None
     elapsed: float
 
 
@@ -56,14 +50,8 @@ def run_campaign(
         counterexample = None
         for instance in claim.instances(ensemble, rng):
             checked += 1
-            failure = claim.check(instance)
-            if failure is not None:
-                counterexample = Counterexample(
-                    graphs=instance,
-                    expected=failure.expected,
-                    actual=failure.actual,
-                    detail=failure.detail,
-                )
+            if claim.check(instance) is not None:
+                counterexample = instance
                 break
         outcomes.append(
             CheckOutcome(
@@ -108,13 +96,13 @@ def graph_to_json(g: Graph) -> dict:
     return {"order": g.order, "edges": [list(edge) for edge in g.edges()]}
 
 
-def counterexample_to_json(cx: Counterexample) -> dict:
+def counterexample_to_json(graphs: Instance, failure: Failure) -> dict:
     def value(obj: object) -> object:
         return to_json(obj) if isinstance(obj, (int, float)) else obj
 
     return {
-        "graphs": [graph_to_json(g) for g in cx.graphs],
-        "expected": value(cx.expected),
-        "actual": value(cx.actual),
-        "detail": cx.detail,
+        "graphs": [graph_to_json(g) for g in graphs],
+        "expected": value(failure.expected),
+        "actual": value(failure.actual),
+        "detail": failure.detail,
     }

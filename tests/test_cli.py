@@ -381,3 +381,16 @@ def test_unexpected_exception_exits_one_with_its_type(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "metrics", "cycle:5")
     assert code == 1 and out == ""
     assert err == "error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("claims", [",", ""])
+def test_verify_refuses_an_empty_claim_list(monkeypatch, capsys, claims):
+    import kronwalk.cli as cli_module
+
+    campaigns = []
+    monkeypatch.setattr(cli_module, "run_campaign", lambda *args: campaigns.append(args))
+    code, out, err = run_cli(capsys, "verify", "--claims", claims)
+    assert code == 1
+    assert out == ""
+    assert "--claims" in err
+    assert campaigns == []

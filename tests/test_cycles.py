@@ -116,3 +116,47 @@ def test_exponent_bounded_by_cycle_bound(g):
     assert report.exact
     assert exponent(g).gamma <= report.l_o
     assert (report.l_o == INF) == (odd_girth(g) == INF)
+
+
+def test_cycles_that_cannot_win_are_not_scored(monkeypatch):
+    # In K8 the first cycle, the triangle (0, 1, 2), scores 4; every later
+    # cycle misses a vertex, so it scores at least len - 1 + 2 >= 4.
+    import kronwalk.cycles as cycles
+
+    scored = []
+    real = cycles._eccentricity
+
+    def counted(dist, cycle):
+        scored.append(cycle)
+        return real(dist, cycle)
+
+    monkeypatch.setattr(cycles, "_eccentricity", counted)
+    report = l_o_bound(make_complete(8))
+    assert scored == [(0, 1, 2)]
+    assert report.cycles_considered > 1
+    assert (report.l_o, report.best_cycle, report.exact) == (4, (0, 1, 2), True)
+
+
+def test_bound_equals_the_first_best_of_all_scored_cycles():
+    # Brute force: score every odd cycle, keep the first minimum.
+    from kronwalk import distance_matrix, enumerate_graphs
+    from kronwalk.cycles import _eccentricity
+
+    small = [
+        g
+        for loops, top in ((False, 5), (True, 4))
+        for n in range(1, top + 1)
+        for g in enumerate_graphs(n, allow_loops=loops)
+        if is_connected(g)
+    ]
+    for g in small:
+        dist = distance_matrix(g)
+        cycles = list(enumerate_odd_cycles(g))
+        values = [2 * _eccentricity(dist, c) + len(c) - 1 for c in cycles]
+        report = l_o_bound(g)
+        assert report.cycles_considered == len(cycles)
+        if values:
+            best = min(values)
+            assert (report.l_o, report.best_cycle) == (best, cycles[values.index(best)])
+        else:
+            assert (report.l_o, report.best_cycle) == (INF, None)

@@ -8,6 +8,7 @@ from kronwalk import (
     diameter,
     kronecker_product,
     make_complete,
+    make_complete_multipartite,
     make_cycle,
     make_f_family,
     make_h_family,
@@ -197,3 +198,93 @@ def test_with_all_loops():
     g = with_all_loops(make_path(3))
     assert all(g.has_loop(v) for v in range(3))
     assert g.edge_count == 5
+
+
+def test_diameter_claim_reads_a_refusal_as_outside_the_hypotheses(monkeypatch):
+    def refuse(g1, g2):
+        raise ValueError("outside the hypotheses")
+
+    claims._diameter_claim("Probe", "probe", None)(refuse)
+    check = REGISTRY.pop("Probe").check
+    assert check((make_cycle(5), make_cycle(3))) is None
+    # Only the closed form is guarded: a size guard of the product still
+    # raises.
+    claims._diameter_claim("Probe", "probe", None)(lambda g1, g2: 3)
+    check = REGISTRY.pop("Probe").check
+
+    def oversized(g1, g2):
+        raise ValueError("order exceeds the limit")
+
+    monkeypatch.setattr(claims, "kronecker_product", oversized)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        check((make_cycle(5), make_cycle(3)))
+
+
+@pytest.mark.parametrize(
+    "claim_id, closed_form, pair",
+    [
+        # the first factor is not complete with all loops
+        ("Thm3.5", "_k_plus_factor", (make_cycle(5), make_cycle(3))),
+        # K3+ has exponent 1 and diameter 1
+        ("CorHF", "_family_products", (make_complete(3, with_loops=True), make_cycle(5))),
+        ("CorHF", "_family_products", (make_cycle(5), make_complete(3, with_loops=True))),
+        # two parts only
+        (
+            "ThmMultipartite",
+            "_multipartite_factor",
+            (make_cycle(5), make_complete_multipartite([2, 3])),
+        ),
+    ],
+)
+def test_closed_forms_refuse_pairs_outside_their_hypotheses(claim_id, closed_form, pair):
+    with pytest.raises(ValueError):
+        getattr(claims, closed_form)(*pair)
+    assert REGISTRY[claim_id].check(pair) is None
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (Graph(1), make_cycle(5)),
+        (make_cycle(5), Graph(1, [(0, 0)])),
+        (Graph(1), Graph(1)),
+        (Graph(4, [(0, 1), (1, 2), (0, 2)]), make_cycle(3)),
+        (make_path(3), Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])),
+    ],
+)
+def test_main_formula_holds_on_order_one_and_disconnected_pairs(pair):
+    # Thm3.3's closed form is total, so these pairs are compared with BFS.
+    assert claims._main_formula(*pair) == diameter(kronecker_product(*pair))
+    assert REGISTRY["Thm3.3"].check(pair) is None
+
+
+def _set_partitions(n):
+    """Every partition of 0..n-1, as blocks listed by their smallest vertex."""
+    if n == 0:
+        yield []
+        return
+    for blocks in _set_partitions(n - 1):
+        for i in range(len(blocks)):
+            yield blocks[:i] + [blocks[i] + [n - 1]] + blocks[i + 1 :]
+        yield blocks + [[n - 1]]
+
+
+def test_complete_multipartite_recognizer_on_all_small_graphs():
+    from kronwalk import enumerate_graphs
+
+    expected = {}
+    for n in range(1, 6):
+        for blocks in _set_partitions(n):
+            part = {v: i for i, block in enumerate(blocks) for v in block}
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
+            expected[Graph(n, edges)] = [len(block) for block in blocks]
+    assert len(expected) == 1 + 2 + 5 + 15 + 52
+    small = [
+        g
+        for loops, top in ((False, 5), (True, 4))
+        for n in range(1, top + 1)
+        for g in enumerate_graphs(n, allow_loops=loops)
+    ]
+    assert set(expected) <= set(small)
+    for g in small:
+        assert complete_multipartite_parts(g) == expected.get(g)

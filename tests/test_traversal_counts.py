@@ -101,3 +101,24 @@ def test_all_loops_closed_form_runs_one_profile_per_factor(traversals):
     assert claims.REGISTRY["CorLoops"].check(pair) is None
     # One profile per factor for the closed form, one BFS over the product.
     assert sorted(traversals) == sorted([PROFILE, PROFILE, ("distance_matrix", "diameter")])
+
+
+@pytest.mark.parametrize(
+    "pair, connected_factors",
+    [
+        ((make_cycle(5), make_cycle(3)), True),
+        ((make_cycle(4), make_complete(2)), True),
+        ((make_cycle(4), kronecker.kronecker_product(make_cycle(4), make_complete(2))), False),
+    ],
+)
+def test_product_connectivity_check_gates_on_the_criterion_alone(
+    traversals, pair, connected_factors
+):
+    # The hypothesis is product_is_connected's own refusal: no traversal of
+    # the factors beyond its own, and one BFS over the product when it answers.
+    assert claims.REGISTRY["Lem2.4"].check(pair) is None
+    own = [call for call in traversals if call[1] == "product_is_connected"]
+    rest = [call for call in traversals if call[1] != "product_is_connected"]
+    assert own
+    bfs = [("is_connected", "_check_product_connectivity")]
+    assert rest == (bfs if connected_factors else [])
