@@ -26,6 +26,7 @@ from .extlen import INF, ExtLen, is_finite
 from .graphs import (
     MAX_EDGES,
     MAX_ORDER,
+    MAX_TABLE_ORDER,
     Graph,
     enumerate_graphs,
     is_k_plus,
@@ -80,6 +81,7 @@ __all__ = [
     "INF",
     "MAX_EDGES",
     "MAX_ORDER",
+    "MAX_TABLE_ORDER",
     "ParityDistances",
     "ParityProfile",
     "adjacency",

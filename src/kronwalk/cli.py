@@ -50,10 +50,6 @@ from .predict import DiameterPrediction, predict_diameter, summarize
 from .walks import parity_distances, profile_of
 
 
-class SpecError(ValueError):
-    """Unparseable or invalid graph specification."""
-
-
 _FAMILIES = {
     "path": (make_path, 1),
     "cycle": (make_cycle, 1),
@@ -74,13 +70,13 @@ def parse_graph_spec(spec: str) -> Graph:
         try:
             return builder(*args)
         except ValueError as exc:
-            raise SpecError(f"{spec}: {exc}") from None
+            raise ValueError(f"{spec}: {exc}") from None
     try:
         return read_graph(spec)
     except OSError as exc:
-        raise SpecError(f"cannot read graph file {spec!r}: {exc}") from None
+        raise ValueError(f"cannot read graph file {spec!r}: {exc}") from None
     except ValueError as exc:
-        raise SpecError(f"{spec}: {exc}") from None
+        raise ValueError(f"{spec}: {exc}") from None
 
 
 def _int_args(spec: str, rest: str, arity: int | None) -> list[int]:
@@ -88,9 +84,9 @@ def _int_args(spec: str, rest: str, arity: int | None) -> list[int]:
     try:
         values = [int(p) for p in parts]
     except ValueError:
-        raise SpecError(f"{spec}: parameters must be integers") from None
+        raise ValueError(f"{spec}: parameters must be integers") from None
     if arity is not None and len(values) != arity:
-        raise SpecError(f"{spec}: expected {arity} parameter(s)")
+        raise ValueError(f"{spec}: expected {arity} parameter(s)")
     return values
 
 
@@ -145,9 +141,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_product(args: argparse.Namespace) -> int:
     g1 = parse_graph_spec(args.graph1)
     g2 = parse_graph_spec(args.graph2)
-    if args.out:
-        _write_output(args.out, kronecker_product(g1, g2), args.format)
+    # Build first, so an oversized product fails before any other work, and
+    # write after the tables, so a factor they refuse leaves no file behind.
+    product = kronecker_product(g1, g2) if args.out else None
     pd1, pd2 = parity_distances(g1), parity_distances(g2)
+    if product is not None:
+        _write_output(args.out, product, args.format)
     prediction = predict_diameter(profile_of(pd1), profile_of(pd2))
     measured = product_diameter(pd1, pd2)
     document = {
@@ -187,7 +186,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.claims == "all":
         claim_ids = list(CLAIM_IDS)
     else:
-        claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
+        # A claim named twice runs once, in first-seen order.
+        claim_ids = list(
+            dict.fromkeys(c.strip() for c in args.claims.split(",") if c.strip())
+        )
     if not claim_ids:
         raise ValueError(f"--claims names no claim: {args.claims!r}")
     for claim_id in claim_ids:
@@ -231,7 +233,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         try:
             g = random_graph(params[0], args.edge_prob, args.loop_prob, args.seed)
         except ValueError as exc:
-            raise SpecError(f"{args.spec}: {exc}") from None
+            raise ValueError(f"{args.spec}: {exc}") from None
     else:
         g = parse_graph_spec(args.spec)
     if args.out:

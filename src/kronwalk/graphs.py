@@ -25,6 +25,9 @@ MAX_ORDER = 100_000
 # Largest edge count of a dense family graph or a product; each listed edge
 # costs a few hundred bytes until the graph is built.
 MAX_EDGES = 1_000_000
+# Largest order of a graph given an all-pairs table; a parity table costs
+# about 50 bytes per vertex pair, so 3,000 vertices need about 450 MB.
+MAX_TABLE_ORDER = 3_000
 
 
 def check_order(order: int) -> None:
@@ -37,6 +40,14 @@ def check_edges(count: int) -> None:
     """Refuse an edge count above MAX_EDGES before any edge is listed."""
     if count > MAX_EDGES:
         raise ValueError(f"edge count {count} exceeds the limit of {MAX_EDGES}")
+
+
+def check_table_order(order: int) -> None:
+    """Refuse an order above MAX_TABLE_ORDER before any all-pairs row exists."""
+    if order > MAX_TABLE_ORDER:
+        raise ValueError(
+            f"order {order} exceeds the all-pairs table limit of {MAX_TABLE_ORDER}"
+        )
 
 
 class Graph:

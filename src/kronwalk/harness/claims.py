@@ -7,13 +7,14 @@ themselves (connectivity, primitivity, family shape, ...) and returns
 claim's hypotheses; that makes counterexample minimization safe, because a
 mutation that breaks a hypothesis simply stops failing.
 
-Ground truth for product claims is always breadth-first search on the
-explicitly constructed product, never the formula under test.  The claims
-that give the product diameter in closed form register only that form
-through :func:`_diameter_claim`, which owns the BFS and the comparison.
-A closed form's hypotheses are its predictor's refusals: the harness does
-not check them again, and a ``ValueError`` from the predictor puts the
-pair outside the claim.
+An equality claim is a closed form plus a named brute force: it registers
+through :func:`_closed_form_claim`, which compares the two and builds the
+failure.  Ground truth for product claims is always breadth-first search on
+the explicitly constructed product (:func:`_product_diameter`,
+:func:`_product_connected`), never the formula under test.  A closed form's
+hypotheses are its predictor's refusals: the harness does not check them
+again, and a ``ValueError`` from the predictor puts the instance outside the
+claim.
 """
 
 from __future__ import annotations
@@ -93,16 +94,17 @@ def _claim(claim_id: str, description: str, instances) -> Callable:
     return register
 
 
-def _diameter_claim(claim_id: str, description: str, instances) -> Callable:
-    """Register a closed form for the diameter of the product of a pair.
+def _closed_form_claim(claim_id: str, description: str, instances, truth) -> Callable:
+    """Register an equality claim: a closed form checked against a brute force.
 
-    The check compares the closed form's value with BFS on the built
-    product.  None or a ``ValueError`` (how a predictor refuses a pair) puts
-    the pair outside the hypotheses; the size guards of the product and the
-    BFS also raise ``ValueError``, so they stay outside the ``try``.
+    The check compares the closed form's value with ``truth`` on the same
+    instance.  None or a ``ValueError`` from the closed form (how a predictor
+    refuses an instance) puts the instance outside the hypotheses; the size
+    guards of the brute force also raise ``ValueError``, so ``truth`` runs
+    outside the ``try``.
     """
 
-    def register(closed_form: Callable[[Graph, Graph], ExtLen | None]) -> Callable:
+    def register(closed_form: Callable[..., object]) -> Callable:
         def check(instance: Instance) -> Failure | None:
             try:
                 expected = closed_form(*instance)
@@ -110,9 +112,9 @@ def _diameter_claim(claim_id: str, description: str, instances) -> Callable:
                 return None
             if expected is None:
                 return None
-            actual = diameter(kronecker_product(*instance))
+            actual = truth(*instance)
             if actual != expected:
-                return Failure(expected, actual, "closed form differs from BFS")
+                return Failure(expected, actual, "closed form differs from brute force")
             return None
 
         _claim(claim_id, description, instances)(check)
@@ -121,48 +123,31 @@ def _diameter_claim(claim_id: str, description: str, instances) -> Callable:
     return register
 
 
+def _product_diameter(g1: Graph, g2: Graph) -> ExtLen:
+    return diameter(kronecker_product(g1, g2))
+
+
+def _product_connected(g1: Graph, g2: Graph) -> bool:
+    return is_connected(kronecker_product(g1, g2))
+
+
 # ---------------------------------------------------------------------------
 # Structure recognizers (hypothesis gates work on the graphs alone)
 
 
+def _signature(g: Graph) -> list[tuple[int, bool]]:
+    return sorted((g.degree(v), g.has_loop(v)) for v in range(g.order))
+
+
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism by degree-guided backtracking; meant for small orders."""
-    n = g.order
-    if n != h.order:
+    """Exact isomorphism by trying every relabeling; meant for small orders."""
+    if g.order != h.order or _signature(g) != _signature(h):
         return False
-
-    def signature(graph: Graph, v: int) -> tuple[int, bool]:
-        return (graph.degree(v), graph.has_loop(v))
-
-    if sorted(signature(g, v) for v in range(n)) != sorted(
-        signature(h, v) for v in range(n)
-    ):
-        return False
-    order_g = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        v = order_g[i]
-        for w in range(n):
-            if used[w] or signature(h, w) != signature(g, v):
-                continue
-            if any(
-                g.has_edge(v, prev) != h.has_edge(w, mapping[prev])
-                for prev in order_g[:i]
-            ):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if place(i + 1):
-                return True
-            used[w] = False
-            mapping[v] = -1
-        return False
-
-    return place(0)
+    edges, target = list(g.edges()), set(h.edges())
+    return any(
+        all((min(p[u], p[v]), max(p[u], p[v])) in target for u, v in edges)
+        for p in itertools.permutations(range(g.order))
+    )
 
 
 def complete_multipartite_parts(g: Graph) -> list[int] | None:
@@ -259,21 +244,15 @@ def _bipartite_pool() -> list[Graph]:
 # Checkers
 
 
-@_claim(
+@_closed_form_claim(
     "Prop1.1",
     "exponent of a product of primitive factors is the larger factor exponent",
     _pair_instances,
+    lambda g1, g2: exponent(kronecker_product(g1, g2)).gamma,
 )
-def _check_product_exponent(instance: Instance) -> Failure | None:
-    g1, g2 = instance
-    s1, s2 = summarize(g1), summarize(g2)
-    if not is_finite(s1.exponent) or not is_finite(s2.exponent):
-        return None  # a factor is not primitive
-    expected = max(s1.exponent, s2.exponent)
-    actual = exponent(kronecker_product(g1, g2)).gamma
-    if actual != expected:
-        return Failure(expected, actual, "product exponent differs from max of factors")
-    return None
+def _larger_exponent(g1: Graph, g2: Graph) -> ExtLen | None:
+    gamma = max(summarize(g1).exponent, summarize(g2).exponent)
+    return gamma if is_finite(gamma) else None  # None: a factor is not primitive
 
 
 @_claim(
@@ -319,21 +298,13 @@ def _check_local_exponent_onset(instance: Instance) -> Failure | None:
     return None
 
 
-@_claim(
+# product_is_connected refuses a disconnected factor.
+_closed_form_claim(
     "Lem2.4",
     "product of connected factors is connected iff a factor has an odd cycle",
     _pair_instances,
-)
-def _check_product_connectivity(instance: Instance) -> Failure | None:
-    g1, g2 = instance
-    try:
-        expected = product_is_connected(g1, g2)
-    except ValueError:
-        return None  # a factor is disconnected
-    actual = is_connected(kronecker_product(g1, g2))
-    if actual != expected:
-        return Failure(expected, actual, "odd-cycle criterion disagrees with BFS")
-    return None
+    _product_connected,
+)(product_is_connected)
 
 
 @_claim(
@@ -499,7 +470,7 @@ def _check_odd_girth_bound(instance: Instance) -> Failure | None:
     return None
 
 
-@_claim(
+@_closed_form_claim(
     "Cor3.2",
     "the path-plus-clique family has exponent 2n - 2p + 2",
     lambda spec, rng: _singles(
@@ -508,20 +479,12 @@ def _check_odd_girth_bound(instance: Instance) -> Failure | None:
             connected_graphs(spec.exhaustive_loopless_order, allow_loops=False),
         )
     ),
+    lambda g: summarize(g).exponent,
 )
-def _check_clique_family_exponent(instance: Instance) -> Failure | None:
-    (g,) = instance
-    actual = summarize(g).exponent
-    if not is_finite(actual) or any(g.has_loop(v) for v in range(g.order)):
-        return None  # not primitive, or looped
+def _clique_family_exponent(g: Graph) -> int | None:
     n = g.order
     p = next((q for q in range(3, n) if are_isomorphic(g, make_h_family(n, q))), None)
-    if p is None:
-        return None
-    expected = 2 * n - 2 * p + 2
-    if actual != expected:
-        return Failure(expected, actual, "family exponent formula violated")
-    return None
+    return None if p is None else 2 * n - 2 * p + 2
 
 
 @_claim(
@@ -532,13 +495,9 @@ def _check_clique_family_exponent(instance: Instance) -> Failure | None:
 def _check_sandwich_bounds(instance: Instance) -> Failure | None:
     g1, g2 = instance
     if g1.order < 2 or g2.order < 2:
-        return None
+        return None  # predict prints no bounds
     s1, s2 = summarize(g1), summarize(g2)
-    if not s1.connected or not s2.connected:
-        return None
-    if s1.bipartite and s2.bipartite:
-        return None  # no odd cycle anywhere: hypotheses unmet
-    d = diameter(kronecker_product(g1, g2))
+    d = _product_diameter(g1, g2)
     b = diameter_bounds(s1, s2)
     if not b.lower <= d <= b.upper:
         return Failure(f"in [{b.lower}, {b.upper}]", d, "outside the sandwich bounds")
@@ -547,7 +506,7 @@ def _check_sandwich_bounds(instance: Instance) -> Failure | None:
     return None
 
 
-@_diameter_claim(
+@_closed_form_claim(
     "Thm3.3",
     "product diameter equals the three-case exponent formula",
     lambda spec, rng: _stream(
@@ -559,30 +518,27 @@ def _check_sandwich_bounds(instance: Instance) -> Failure | None:
         spec,
         lambda: _random_pair(rng),
     ),
+    _product_diameter,
 )
 def _main_formula(g1: Graph, g2: Graph) -> ExtLen:
     return predict_diameter(summarize(g1), summarize(g2)).value
 
 
-@_claim(
+@_closed_form_claim(
     "Thm3.4",
     "product diameter is 1 exactly when both factors are complete with all loops",
     lambda spec, rng: _square(_pair_pool(spec)),
+    lambda g1, g2: _product_diameter(g1, g2) == 1,
 )
-def _check_diameter_one(instance: Instance) -> Failure | None:
-    g1, g2 = instance
+def _both_k_plus(g1: Graph, g2: Graph) -> bool | None:
     if g1.order < 2 or g2.order < 2:
         return None
     if not is_connected(g1) or not is_connected(g2):
         return None
-    both_k_plus = is_k_plus(g1) and is_k_plus(g2)
-    actual = diameter(kronecker_product(g1, g2)) == 1
-    if actual != both_k_plus:
-        return Failure(both_k_plus, actual, "diameter-one characterization violated")
-    return None
+    return is_k_plus(g1) and is_k_plus(g2)
 
 
-@_diameter_claim(
+@_closed_form_claim(
     "Thm3.5",
     "a complete-all-loops factor gives diameter d(G), or 2 when d(G) = 1",
     lambda spec, rng: _stream(
@@ -595,6 +551,7 @@ def _check_diameter_one(instance: Instance) -> Failure | None:
             random_connected(rng, RANDOM_ORDER),
         ),
     ),
+    _product_diameter,
 )
 def _k_plus_factor(g1: Graph, g2: Graph) -> ExtLen:
     return predict_k_plus_factor(summarize(g1), summarize(g2)).value
@@ -611,7 +568,7 @@ _PART_LISTS = (
 )
 
 
-@_diameter_claim(
+@_closed_form_claim(
     "ThmMultipartite",
     "a complete multipartite factor on three or more parts follows the "
     "small-diameter closed form",
@@ -630,6 +587,7 @@ _PART_LISTS = (
             ),
         )
     ),
+    _product_diameter,
 )
 def _multipartite_factor(g: Graph, h: Graph) -> ExtLen | None:
     parts = complete_multipartite_parts(h)
@@ -645,17 +603,18 @@ def _hf_instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instance]:
     )
 
 
-@_diameter_claim(
+@_closed_form_claim(
     "CorHF",
     "factors with exponent exactly twice their diameter follow the family "
     "closed form",
     _hf_instances,
+    _product_diameter,
 )
 def _family_products(g: Graph, h: Graph) -> ExtLen:
     return predict_family_product(summarize(g), summarize(h)).value
 
 
-@_diameter_claim(
+@_closed_form_claim(
     "CorLoops",
     "product of all-loops factors has diameter max(d1, d2)",
     lambda spec, rng: _stream(
@@ -663,28 +622,26 @@ def _family_products(g: Graph, h: Graph) -> ExtLen:
         spec,
         lambda: tuple(map(with_all_loops, _random_pair(rng))),
     ),
+    _product_diameter,
 )
 def _all_loops(g1: Graph, g2: Graph) -> ExtLen:
     return predict_all_loops(g1, g2).value
 
 
-@_claim(
+@_closed_form_claim(
     "CorK2",
     "exponent equals the diameter of the product with a single edge, minus one",
     _single_instances,
+    lambda g: _product_diameter(g, make_complete(2)) - 1,
 )
-def _check_double_cover_exponent(instance: Instance) -> Failure | None:
-    (g,) = instance
-    expected = summarize(g).exponent
-    if g.order < 2 or not is_finite(expected):
-        return None  # trivial or not primitive
-    actual = diameter(kronecker_product(g, make_complete(2))) - 1
-    if actual != expected:
-        return Failure(expected, actual, "double-cover diameter identity violated")
-    return None
+def _double_cover_exponent(g: Graph) -> ExtLen | None:
+    if g.order < 2:
+        return None  # trivial
+    gamma = summarize(g).exponent
+    return gamma if is_finite(gamma) else None  # None: not primitive
 
 
-@_diameter_claim(
+@_closed_form_claim(
     "CorCycles",
     "products of odd cycles with cycles and paths match the closed forms",
     lambda spec, rng: (
@@ -692,6 +649,7 @@ def _check_double_cover_exponent(instance: Instance) -> Failure | None:
         for m in (3, 5, 7)
         for h in [*map(make_cycle, range(3, 8)), *map(make_path, range(2, 8))]
     ),
+    _product_diameter,
 )
 def _cycle_products(g1: Graph, g2: Graph) -> ExtLen | None:
     m, n = g1.order, g2.order

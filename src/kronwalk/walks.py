@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .extlen import INF, ExtLen, is_finite
-from .graphs import Graph
+from .graphs import Graph, check_table_order
 
 Matrix = tuple[tuple[ExtLen, ...], ...]
 
@@ -74,6 +74,7 @@ class ExponentReport:
 
 def parity_distances(g: Graph) -> ParityDistances:
     """Exact shortest odd and shortest positive even walk lengths, all pairs."""
+    check_table_order(g.order)
     n = g.order
     odd_rows: list[tuple[ExtLen, ...]] = []
     even_rows: list[list[ExtLen]] = []
@@ -138,6 +139,7 @@ def profile_of(pd: ParityDistances) -> ParityProfile:
 
 def distance_matrix(g: Graph) -> Matrix:
     """All-pairs graph distances by BFS; INF marks unreachable pairs."""
+    check_table_order(g.order)
     n = g.order
     rows = []
     for source in range(n):

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,15 @@ def test_verify_rejects_out_of_range_sizes(monkeypatch, capsys, flags):
     assert flags[0] in err
 
 
+def test_verify_runs_a_repeated_claim_once(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--claims", "CorCycles,CorCycles", "--exhaustive", "1",
+        "--random", "1",
+    )
+    assert code == 0
+    assert [c["claim_id"] for c in json.loads(out)["claims"]] == ["CorCycles"]
+
+
 def test_verify_unknown_claim(capsys):
     code, out, err = run_cli(capsys, "verify", "--claims", "nope")
     assert code == 1
@@ -369,6 +379,28 @@ def test_product_above_the_edge_limit_is_not_written(tmp_path):
     assert result.returncode == 1 and result.stdout == ""
     assert "edge count 1917600 exceeds the limit" in result.stderr
     assert not (tmp_path / "p.edges").exists()
+
+
+def test_factor_above_the_table_limit_exits_one_at_once(tmp_path):
+    # 3,001 vertices pass MAX_ORDER; their parity tables would need about
+    # 450 MB, which the capped child does not have.  The bound leaves room
+    # for interpreter start-up on a loaded host (the refusal takes ~0.15 s).
+    start = time.perf_counter()
+    result = run_cli_capped(tmp_path, "predict", "path:3001", "cycle:3")
+    assert time.perf_counter() - start < 2
+    assert result.returncode == 1 and result.stdout == ""
+    assert "order 3001 exceeds the all-pairs table limit of 3000" in result.stderr
+
+
+def test_factor_above_the_table_limit_writes_no_product(monkeypatch, tmp_path, capsys):
+    import kronwalk.graphs as graphs_module
+
+    monkeypatch.setattr(graphs_module, "MAX_TABLE_ORDER", 5)
+    out_path = tmp_path / "product.edges"
+    code, out, err = run_cli(capsys, "product", "path:6", "cycle:3", "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert "all-pairs table limit of 5" in err
+    assert not out_path.exists()
 
 
 def test_unexpected_exception_exits_one_with_its_type(monkeypatch, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from kronwalk import (
     Bounds,
     Graph,
     diameter,
+    enumerate_graphs,
     kronecker_product,
     make_complete,
     make_complete_multipartite,
@@ -59,6 +62,20 @@ def test_registry_covers_all_claims():
     assert set(CLAIM_IDS) == expected
 
 
+NUMBER_WORDS = (
+    "zero one two three four five six seven eight nine ten eleven twelve thirteen "
+    "fourteen fifteen sixteen seventeen eighteen nineteen twenty"
+).split()
+
+
+def test_readme_counts_the_further_claims():
+    # The README names the main formula and then "<n> further claims".
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (word,) = re.findall(r"([\w-]+)\s+further\s+claims", readme)
+    assert word in NUMBER_WORDS
+    assert NUMBER_WORDS.index(word) == len(CLAIM_IDS) - 1
+
+
 def test_full_registry_passes_on_small_ensembles():
     outcomes = run_campaign(list(CLAIM_IDS), SMALL, seed=5)
     failures = {o.claim_id: o.counterexample for o in outcomes if o.counterexample}
@@ -92,6 +109,44 @@ def test_sandwich_claim_checks_the_shipped_bounds(monkeypatch):
     assert outcome.counterexample is not None
 
 
+def test_sandwich_claim_checks_bipartite_pairs(monkeypatch):
+    # predict prints bounds for two bipartite factors, so Thm3.2 checks them.
+    pair = (make_path(3), make_path(4))
+    assert REGISTRY["Thm3.2"].check(pair) is None
+    monkeypatch.setattr(claims, "diameter_bounds", lambda s1, s2: Bounds(0, 0))
+    assert REGISTRY["Thm3.2"].check(pair) is not None
+
+
+def _off_by_one(field):
+    def mutate(real):
+        def wrong(g):
+            value = real(g)
+            return dataclasses.replace(value, **{field: getattr(value, field) + 1})
+
+        return wrong
+
+    return mutate
+
+
+def _negated(real):
+    return lambda g: not real(g)
+
+
+@pytest.mark.parametrize(
+    "claim_id, name, mutate",
+    [
+        ("Prop1.1", "exponent", _off_by_one("gamma")),  # the brute force
+        ("Lem2.4", "is_connected", _negated),  # the brute force
+        ("Thm3.4", "is_k_plus", _negated),  # the closed form
+        ("CorK2", "summarize", _off_by_one("exponent")),  # the closed form
+    ],
+)
+def test_closed_form_claims_catch_a_broken_route(monkeypatch, claim_id, name, mutate):
+    monkeypatch.setattr(claims, name, mutate(getattr(claims, name)))
+    (outcome,) = run_campaign([claim_id], SMALL, seed=0)
+    assert outcome.counterexample is not None
+
+
 def test_clique_family_claim_finds_the_clique_size(monkeypatch):
     # Cor3.2 reads p off the family the graph is isomorphic to: H(7, 4)
     # must be checked against 2 * 7 - 2 * 4 + 2 = 8, and a graph outside
@@ -111,7 +166,7 @@ def test_clique_family_claim_finds_the_clique_size(monkeypatch):
 
 
 def test_diameter_claim_compares_the_closed_form_with_bfs():
-    claims._diameter_claim("Probe", "probe", None)(
+    claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(
         lambda g1, g2: 4 if g1.order == g2.order else None
     )
     check = REGISTRY.pop("Probe").check
@@ -186,6 +241,16 @@ def test_are_isomorphic():
     assert are_isomorphic(make_f_family(6, 3), make_f_family(6, 3))
 
 
+@pytest.mark.parametrize("order, loops, classes", [(4, True, 90), (5, False, 34)])
+def test_are_isomorphic_counts_the_unlabeled_graphs(order, loops, classes):
+    # OEIS A000666 (graphs with loops allowed) and A000088 (simple graphs).
+    representatives = []
+    for g in enumerate_graphs(order, allow_loops=loops):
+        if not any(are_isomorphic(g, r) for r in representatives):
+            representatives.append(g)
+    assert len(representatives) == classes
+
+
 def test_complete_multipartite_recognizer():
     assert complete_multipartite_parts(make_complete(3)) == [1, 1, 1]
     assert sorted(complete_multipartite_parts(Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))) == [2, 2]
@@ -204,12 +269,12 @@ def test_diameter_claim_reads_a_refusal_as_outside_the_hypotheses(monkeypatch):
     def refuse(g1, g2):
         raise ValueError("outside the hypotheses")
 
-    claims._diameter_claim("Probe", "probe", None)(refuse)
+    claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(refuse)
     check = REGISTRY.pop("Probe").check
     assert check((make_cycle(5), make_cycle(3))) is None
     # Only the closed form is guarded: a size guard of the product still
     # raises.
-    claims._diameter_claim("Probe", "probe", None)(lambda g1, g2: 3)
+    claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(lambda g1, g2: 3)
     check = REGISTRY.pop("Probe").check
 
     def oversized(g1, g2):

@@ -120,5 +120,5 @@ def test_product_connectivity_check_gates_on_the_criterion_alone(
     own = [call for call in traversals if call[1] == "product_is_connected"]
     rest = [call for call in traversals if call[1] != "product_is_connected"]
     assert own
-    bfs = [("is_connected", "_check_product_connectivity")]
+    bfs = [("is_connected", "_product_connected")]
     assert rest == (bfs if connected_factors else [])

@@ -1,5 +1,8 @@
+import pytest
 from hypothesis import given, settings
 
+import kronwalk.graphs as graphs_module
+import kronwalk.walks as walks_module
 from kronwalk import (
     INF,
     Graph,
@@ -226,3 +229,18 @@ def test_profile_matches_independent_routes_exhaustive():
 @settings(max_examples=150, deadline=None)
 def test_profile_matches_independent_routes(g):
     _assert_profile_matches_independent_routes(g)
+
+
+@pytest.mark.parametrize("table", [parity_distances, distance_matrix])
+def test_all_pairs_tables_refuse_above_the_table_limit(monkeypatch, table):
+    # Under a small limit, and with the BFS queue refusing to start, each
+    # table must refuse the order before it runs a single source.
+    monkeypatch.setattr(graphs_module, "MAX_TABLE_ORDER", 5)
+    table(make_path(5))
+
+    def no_queue(*args):
+        raise AssertionError("a BFS started for an oversized table")
+
+    monkeypatch.setattr(walks_module, "deque", no_queue)
+    with pytest.raises(ValueError, match="all-pairs table limit of 5"):
+        table(make_path(6))
