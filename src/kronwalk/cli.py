@@ -47,7 +47,7 @@ from .harness import (
 )
 from .kronecker import kronecker_product, product_diameter, product_edge_count
 from .predict import DiameterPrediction, predict_diameter, summarize
-from .walks import parity_distances, profile_of
+from .walks import parity_distances
 
 
 _FAMILIES = {
@@ -147,7 +147,7 @@ def cmd_product(args: argparse.Namespace) -> int:
     pd1, pd2 = parity_distances(g1), parity_distances(g2)
     if product is not None:
         _write_output(args.out, product, args.format)
-    prediction = predict_diameter(profile_of(pd1), profile_of(pd2))
+    prediction = predict_diameter(pd1.profile, pd2.profile)
     measured = product_diameter(pd1, pd2)
     document = {
         "order": g1.order * g2.order,

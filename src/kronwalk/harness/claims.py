@@ -36,7 +36,7 @@ from ..graphs import (
     make_h_family,
     make_path,
 )
-from ..kronecker import kronecker_product, product_is_connected
+from ..kronecker import kronecker_product, product_diameter, product_is_connected
 from ..predict import (
     diameter_bounds,
     predict_all_loops,
@@ -53,7 +53,6 @@ from ..walks import (
     is_connected,
     local_exponent,
     parity_distances,
-    profile_of,
 )
 from ..cycles import l_o_bound
 from .ensembles import (
@@ -347,7 +346,7 @@ def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
     if g.order < 2:
         return None  # trivial
     pd = parity_distances(g)
-    gamma = profile_of(pd).exponent
+    gamma = pd.profile.exponent
     if not is_finite(gamma):
         return None  # not primitive
     n = g.order
@@ -375,7 +374,7 @@ def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
 def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
     g1, g2 = instance
     pd1, pd2 = parity_distances(g1), parity_distances(g2)
-    if not all(is_finite(profile_of(pd).exponent) for pd in (pd1, pd2)):
+    if not all(is_finite(pd.profile.exponent) for pd in (pd1, pd2)):
         return None  # a factor is not primitive
     dist = distance_matrix(kronecker_product(g1, g2))
     n2 = g2.order
@@ -666,6 +665,17 @@ def _cycle_products(g1: Graph, g2: Graph) -> ExtLen | None:
     if n >= 2 and are_isomorphic(g2, make_path(n)):
         return max(m, n - 1)
     return None
+
+
+@_closed_form_claim(
+    "ParityRoute",
+    "product diameter read off the factors' parity tables matches BFS",
+    _pair_instances,
+    _product_diameter,
+)
+def _parity_route(g1: Graph, g2: Graph) -> ExtLen:
+    # The route `product` prints as its measured diameter.
+    return product_diameter(parity_distances(g1), parity_distances(g2))
 
 
 CLAIM_IDS: tuple[str, ...] = tuple(REGISTRY)

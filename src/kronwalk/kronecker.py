@@ -78,8 +78,12 @@ def product_is_connected(g1: Graph, g2: Graph) -> bool:
     """Connectivity of the product of two connected factors.
 
     The product is connected exactly when at least one factor contains an
-    odd cycle, so no product needs to be built.
+    odd cycle, so no product needs to be built.  A factor with no edge is
+    a bare vertex, which leaves every product vertex isolated: that product
+    is connected only when it is a single vertex.
     """
     if not is_connected(g1) or not is_connected(g2):
         raise ValueError("both factors must be connected")
+    if g1.edge_count == 0 or g2.edge_count == 0:
+        return g1.order * g2.order == 1
     return not is_bipartite(g1) or not is_bipartite(g2)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .extlen import INF, ExtLen, is_finite
 from .graphs import Graph
-from .walks import ParityProfile, parity_distances, profile_of
+from .walks import ParityProfile, profile_of
 
 CASE_EQUAL_EXPONENTS = "EqualExponents"
 CASE_GAMMA1_GREATER = "Gamma1Greater"
@@ -51,9 +51,9 @@ class DiameterPrediction:
 def summarize(g: Graph) -> ParityProfile:
     """Everything the predictors need to know about one factor.
 
-    One call to :func:`parity_distances`; no n x n table outlives the call.
+    One scan of the parity levels; no n x n table is built.
     """
-    return profile_of(parity_distances(g))
+    return profile_of(g)
 
 
 def diameter_bounds(s1: ParityProfile, s2: ParityProfile) -> Bounds:

@@ -2,7 +2,7 @@
 
 ``walk_reach`` is the independent oracle used throughout: it enumerates
 walk existence length by length with a direct dynamic program over the
-adjacency structure and shares no code with the double-cover BFS or the
+adjacency structure and shares no code with the parity level scan or the
 boolean matrix powers it is used to check.
 """
 
@@ -49,6 +49,33 @@ def dp_parity_minima(g: Graph, max_len: int):
                 if layers[k][u][v] and table[u][v] == INF:
                     table[u][v] = k
     return odd, even
+
+
+def walk_profile(g: Graph) -> dict:
+    """The parity profile by its definitions, from walk enumeration.
+
+    Walks of length up to ``2n`` decide every entry: a shortest walk of
+    either parity visits each (vertex, parity) state at most once.
+    """
+    n = g.order
+    odd, even = dp_parity_minima(g, 2 * n)
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    diam = max(0 if u == v else min(odd[u][v], even[u][v]) for u, v in pairs)
+    girth = min(odd[u][u] for u in range(n))
+    longer = [max(odd[u][v], even[u][v]) for u, v in pairs]
+    gamma = max(longer) - 1
+    witness = pairs[longer.index(gamma + 1)]
+    return {
+        "odd": tuple(map(tuple, odd)),
+        "even": tuple(map(tuple, even)),
+        "order": n,
+        "connected": diam != INF,
+        "bipartite": girth == INF,
+        "odd_girth": girth,
+        "diameter": diam,
+        "exponent": gamma,
+        "witness_pair": witness if gamma != INF else None,
+    }
 
 
 def dp_distance(g: Graph, u: int, v: int, max_len: int):

@@ -58,6 +58,7 @@ def test_registry_covers_all_claims():
         "CorLoops",
         "CorK2",
         "CorCycles",
+        "ParityRoute",
     }
     assert set(CLAIM_IDS) == expected
 
@@ -132,6 +133,15 @@ def _negated(real):
     return lambda g: not real(g)
 
 
+def _longer_odd_walks(real):
+    def wrong(g):
+        pd = real(g)
+        longer = tuple(tuple(x + 2 for x in row) for row in pd.odd)
+        return dataclasses.replace(pd, odd=longer)
+
+    return wrong
+
+
 @pytest.mark.parametrize(
     "claim_id, name, mutate",
     [
@@ -139,12 +149,19 @@ def _negated(real):
         ("Lem2.4", "is_connected", _negated),  # the brute force
         ("Thm3.4", "is_k_plus", _negated),  # the closed form
         ("CorK2", "summarize", _off_by_one("exponent")),  # the closed form
+        ("ParityRoute", "parity_distances", _longer_odd_walks),  # the closed form
     ],
 )
 def test_closed_form_claims_catch_a_broken_route(monkeypatch, claim_id, name, mutate):
     monkeypatch.setattr(claims, name, mutate(getattr(claims, name)))
     (outcome,) = run_campaign([claim_id], SMALL, seed=0)
     assert outcome.counterexample is not None
+
+
+@pytest.mark.parametrize("pair", [(Graph(1), make_cycle(3)), (Graph(1), Graph(1))])
+def test_connectivity_claim_holds_on_a_bare_vertex_factor(pair):
+    # The minimizer can shrink a factor to one vertex without a loop.
+    assert REGISTRY["Lem2.4"].check(pair) is None
 
 
 def test_clique_family_claim_finds_the_clique_size(monkeypatch):

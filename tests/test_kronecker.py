@@ -115,12 +115,26 @@ def test_connectivity_criterion_examples():
     assert product_is_connected(make_cycle(5), make_cycle(4))
 
 
+@pytest.mark.parametrize(
+    "g1, g2, connected",
+    [
+        (Graph(1), make_cycle(3), False),  # three isolated vertices
+        (make_cycle(3), Graph(1), False),
+        (Graph(1), Graph(1), True),  # a single vertex
+        (Graph(1, [(0, 0)]), make_cycle(3), True),  # the looped vertex is the identity
+    ],
+)
+def test_connectivity_criterion_on_a_single_vertex_factor(g1, g2, connected):
+    assert product_is_connected(g1, g2) == connected
+    assert is_connected(kronecker_product(g1, g2)) == connected
+
+
 def test_connectivity_criterion_rejects_disconnected_factors():
     with pytest.raises(ValueError):
         product_is_connected(Graph(4, [(0, 1), (2, 3)]), make_cycle(3))
 
 
-@given(graphs(min_order=2, max_order=5), graphs(min_order=2, max_order=5))
+@given(graphs(max_order=5), graphs(max_order=5))
 @settings(max_examples=150, deadline=None)
 def test_connectivity_criterion_agrees_with_bfs(g1, g2):
     if is_connected(g1) and is_connected(g2):

@@ -17,8 +17,10 @@ import kronwalk.walks as walks
 from kronwalk import make_complete, make_cycle, summarize
 from kronwalk.harness import with_all_loops
 
-TRAVERSALS = ("parity_distances", "distance_matrix", "is_connected", "is_bipartite")
-PROFILE = ("parity_distances", "summarize")
+TRAVERSALS = (
+    "profile_of", "parity_distances", "distance_matrix", "is_connected", "is_bipartite"
+)
+PROFILE = ("profile_of", "summarize")
 
 
 @pytest.fixture

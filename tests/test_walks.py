@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,8 +8,10 @@ import kronwalk.walks as walks_module
 from kronwalk import (
     INF,
     Graph,
+    ParityProfile,
     diameter,
     distance_matrix,
+    enumerate_graphs,
     exponent,
     is_bipartite,
     is_connected,
@@ -24,7 +28,7 @@ from kronwalk import (
     summarize,
 )
 
-from helpers import dp_parity_minima, graphs, walk_reach
+from helpers import graphs, walk_profile, walk_reach
 
 
 def test_dp_oracle_on_triangle():
@@ -44,14 +48,55 @@ def test_parity_examples():
     assert pd.odd[0][0] == 1 and pd.even[0][0] == 2
 
 
+def _assert_scan_matches_walk_enumeration(g):
+    # Both readers of the level scan, tables and the whole profile with its
+    # witness, against the definitions evaluated on enumerated walks.
+    expected = walk_profile(g)
+    pd = parity_distances(g)
+    assert (pd.odd, pd.even) == (expected.pop("odd"), expected.pop("even"))
+    assert summarize(g) == pd.profile == ParityProfile(**expected)
+
+
 @given(graphs(max_order=6))
 @settings(max_examples=200, deadline=None)
 def test_parity_distances_match_walk_enumeration(g):
-    horizon = 2 * g.order
-    odd, even = dp_parity_minima(g, horizon)
-    pd = parity_distances(g)
-    assert pd.odd == tuple(tuple(row) for row in odd)
-    assert pd.even == tuple(tuple(row) for row in even)
+    _assert_scan_matches_walk_enumeration(g)
+
+
+@pytest.mark.parametrize(
+    "n, allow_loops", [*((n, True) for n in range(1, 5)), (5, False)]
+)
+def test_level_scan_matches_walk_enumeration_exhaustive(n, allow_loops):
+    for g in enumerate_graphs(n, allow_loops=allow_loops):
+        _assert_scan_matches_walk_enumeration(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        make_complete(1, with_loops=True),  # the empty walk is not an even walk
+        Graph(1),
+        Graph(4, [(0, 1), (1, 2), (2, 0)]),  # vertex 3 is isolated
+        make_f_family(9, 3),
+        make_path(7),
+    ],
+    ids=["complete+:1", "bare vertex", "isolated vertex", "F:9,3", "path:7"],
+)
+def test_level_scan_matches_walk_enumeration_on_named_graphs(g):
+    _assert_scan_matches_walk_enumeration(g)
+
+
+def test_profile_builds_no_all_pairs_table():
+    # Per-source tables for path:600 peaked at 12.5 MB; the scan keeps a few
+    # lists of 600 bitsets of at most 600 bits each.
+    g = make_path(600)
+    tracemalloc.start()
+    try:
+        summarize(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @given(graphs(max_order=6))
@@ -181,8 +226,6 @@ def test_parity_extremal_pairs_small_exhaustive():
     # The exponent is witnessed by a shortest walk of its own parity, and
     # the opposite parity appears one step later (distinct endpoints for
     # the even walk).  Exhaustive over primitive graphs of order <= 4.
-    from kronwalk import enumerate_graphs
-
     for n in range(2, 5):
         for g in enumerate_graphs(n, allow_loops=True):
             if not is_connected(g) or is_bipartite(g):
@@ -218,8 +261,6 @@ def _assert_profile_matches_independent_routes(g):
 
 
 def test_profile_matches_independent_routes_exhaustive():
-    from kronwalk import enumerate_graphs
-
     for n in range(1, 5):
         for g in enumerate_graphs(n, allow_loops=True):
             _assert_profile_matches_independent_routes(g)
@@ -231,16 +272,17 @@ def test_profile_matches_independent_routes(g):
     _assert_profile_matches_independent_routes(g)
 
 
-@pytest.mark.parametrize("table", [parity_distances, distance_matrix])
+@pytest.mark.parametrize("table", [parity_distances, distance_matrix, summarize])
 def test_all_pairs_tables_refuse_above_the_table_limit(monkeypatch, table):
-    # Under a small limit, and with the BFS queue refusing to start, each
-    # table must refuse the order before it runs a single source.
+    # Under a small limit, and with the BFS queue and the level scan refusing
+    # to start, each table must refuse the order before it runs a single step.
     monkeypatch.setattr(graphs_module, "MAX_TABLE_ORDER", 5)
     table(make_path(5))
 
-    def no_queue(*args):
-        raise AssertionError("a BFS started for an oversized table")
+    def no_traversal(*args):
+        raise AssertionError("a traversal started for an oversized table")
 
-    monkeypatch.setattr(walks_module, "deque", no_queue)
+    monkeypatch.setattr(walks_module, "deque", no_traversal)
+    monkeypatch.setattr(walks_module, "_levels", no_traversal)
     with pytest.raises(ValueError, match="all-pairs table limit of 5"):
         table(make_path(6))
