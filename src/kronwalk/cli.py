@@ -47,7 +47,6 @@ from .harness import (
 )
 from .kronecker import kronecker_product, product_diameter, product_edge_count
 from .predict import DiameterPrediction, predict_diameter, summarize
-from .walks import parity_distances
 
 
 _FAMILIES = {
@@ -142,13 +141,13 @@ def cmd_product(args: argparse.Namespace) -> int:
     g1 = parse_graph_spec(args.graph1)
     g2 = parse_graph_spec(args.graph2)
     # Build first, so an oversized product fails before any other work, and
-    # write after the tables, so a factor they refuse leaves no file behind.
+    # write after the profiles, so a factor they refuse leaves no file behind.
     product = kronecker_product(g1, g2) if args.out else None
-    pd1, pd2 = parity_distances(g1), parity_distances(g2)
+    s1, s2 = summarize(g1), summarize(g2)
     if product is not None:
         _write_output(args.out, product, args.format)
-    prediction = predict_diameter(pd1.profile, pd2.profile)
-    measured = product_diameter(pd1, pd2)
+    prediction = predict_diameter(s1, s2)
+    measured = product_diameter(s1, s2)
     document = {
         "order": g1.order * g2.order,
         "edges": product_edge_count(g1, g2),

@@ -346,7 +346,7 @@ def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
     if g.order < 2:
         return None  # trivial
     pd = parity_distances(g)
-    gamma = pd.profile.exponent
+    gamma = max(map(max, pd.odd + pd.even)) - 1
     if not is_finite(gamma):
         return None  # not primitive
     n = g.order
@@ -374,7 +374,7 @@ def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
 def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
     g1, g2 = instance
     pd1, pd2 = parity_distances(g1), parity_distances(g2)
-    if not all(is_finite(pd.profile.exponent) for pd in (pd1, pd2)):
+    if not all(is_finite(max(map(max, pd.odd + pd.even))) for pd in (pd1, pd2)):
         return None  # a factor is not primitive
     dist = distance_matrix(kronecker_product(g1, g2))
     n2 = g2.order
@@ -675,7 +675,7 @@ def _cycle_products(g1: Graph, g2: Graph) -> ExtLen | None:
 )
 def _parity_route(g1: Graph, g2: Graph) -> ExtLen:
     # The route `product` prints as its measured diameter.
-    return product_diameter(parity_distances(g1), parity_distances(g2))
+    return product_diameter(summarize(g1), summarize(g2))
 
 
 CLAIM_IDS: tuple[str, ...] = tuple(REGISTRY)

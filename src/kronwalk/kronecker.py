@@ -10,14 +10,14 @@ vertex carries a loop iff both coordinates do.
 A product walk is a pair of factor walks of the same length, so the
 product's order, edge count and diameter follow from the factors alone:
 :func:`product_diameter` reads the diameter off the two factors' parity
-tables without building the product.
+profiles, four numbers each, without building the product or any table.
 """
 
 from __future__ import annotations
 
 from .extlen import INF, ExtLen
 from .graphs import Graph, check_edges, check_order
-from .walks import ParityDistances, is_bipartite, is_connected
+from .walks import ParityProfile, is_bipartite, is_connected
 
 
 def kronecker_product(g1: Graph, g2: Graph) -> Graph:
@@ -40,38 +40,25 @@ def product_edge_count(g1: Graph, g2: Graph) -> int:
     return 2 * m1 * m2 + m1 * l2 + l1 * m2 + l1 * l2
 
 
-def _parity_pairs(pd: ParityDistances) -> set[tuple[ExtLen, ExtLen]]:
-    # The distinct (odd, even) pairs over all ordered vertex pairs, with the
-    # empty walk counted on the diagonal.
-    pairs = set()
-    for u, (odd_row, even_row) in enumerate(zip(pd.odd, pd.even)):
-        even = list(even_row)
-        even[u] = 0
-        pairs.update(zip(odd_row, even))
-    return pairs
+def product_diameter(s1: ParityProfile, s2: ParityProfile) -> ExtLen:
+    """Diameter of the product of the factors with these parity profiles.
 
-
-def product_diameter(pd1: ParityDistances, pd2: ParityDistances) -> ExtLen:
-    """Diameter of the product of the factors with these parity tables.
-
-    A walk of positive length extends by two by retracing its last edge,
-    so when no factor vertex is isolated, ``(a, b)`` reaches ``(c, d)`` in
-    the least length ``min over parity p of max(d_p(a, c), d_p(b, d))``,
-    where the even distance is 0 on the diagonal.  The diameter is the
-    largest such value, and only distinct pairs of values matter.  An
-    isolated factor vertex leaves its product vertices isolated.
+    A walk of positive length extends by two by retracing its last edge, so
+    with no isolated factor vertex every product pair is within ``D`` iff
+    ``D`` is at least both factor diameters and no pair of one factor needs
+    an even walk longer than ``D`` while a pair of the other needs an odd
+    one: the diameter is ``max(d1, d2, min(E1, O2), min(O1, E2))`` over the
+    odd and even spans.  On order one the empty walk is the even walk that
+    counts, so a looped vertex has even span 0; a bare vertex isolates every
+    product vertex.
     """
-    if pd1.order * pd2.order == 1:
+    if s1.order * s2.order == 1:
         return 0
-    for pd in (pd1, pd2):
-        if any(pd.even[u][u] == INF for u in range(pd.order)):
-            return INF
-    pairs2 = _parity_pairs(pd2)
-    return max(
-        min(max(o1, o2), max(e1, e2))
-        for o1, e1 in _parity_pairs(pd1)
-        for o2, e2 in pairs2
-    )
+    if INF in (s.even_diameter for s in (s1, s2) if s.order == 1):
+        return INF
+    e1, e2 = (0 if s.order == 1 else s.even_diameter for s in (s1, s2))
+    o1, o2 = s1.odd_diameter, s2.odd_diameter
+    return max(s1.diameter, s2.diameter, min(e1, o2), min(o1, e2))
 
 
 def product_is_connected(g1: Graph, g2: Graph) -> bool:

@@ -154,6 +154,22 @@ def predict_k_plus_factor(
     return _prediction(2 if d == 1 else d, s_kp, s_other)
 
 
+def _multipartite_profile(part_sizes: Sequence[int]) -> ParityProfile:
+    # On three or more parts every pair has an odd walk of length at most 3
+    # (a vertex back to itself needs 3) and an even walk of length 2; the
+    # exponent 2 is witnessed at the first vertex and itself.
+    return ParityProfile(
+        order=sum(part_sizes),
+        connected=True,
+        bipartite=False,
+        odd_girth=3,
+        diameter=1 if all(s == 1 for s in part_sizes) else 2,
+        odd_diameter=3,
+        even_diameter=2,
+        witness_pair=(0, 0),
+    )
+
+
 def predict_multipartite_factor(
     s_g: ParityProfile, part_sizes: Sequence[int]
 ) -> DiameterPrediction:
@@ -169,18 +185,7 @@ def predict_multipartite_factor(
         value = 2
     else:
         value = 3
-    # On three or more parts: exponent 2 (witnessed at the first vertex and
-    # itself), odd girth 3, and diameter 1 iff every part is one vertex.
-    s_h = ParityProfile(
-        order=sum(part_sizes),
-        connected=True,
-        bipartite=False,
-        odd_girth=3,
-        diameter=1 if all(s == 1 for s in part_sizes) else 2,
-        exponent=2,
-        witness_pair=(0, 0),
-    )
-    return _prediction(value, s_g, s_h)
+    return _prediction(value, s_g, _multipartite_profile(part_sizes))
 
 
 def predict_family_product(

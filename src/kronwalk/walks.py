@@ -17,15 +17,15 @@ stream, and builds no n x n table:
 - the diameter is the last level at which the reached set
   ``W_k | W_{k-1} | {u}`` grows (infinite unless it ends full);
 - the odd girth is the first odd level with ``u`` in ``W_k[u]``;
-- the exponent is the last level at which ``W_k & W_{k-1}``, the sources
-  reached by walks of both parities, grows, minus one (infinite unless it
-  ends full), and the witness pair is the first vertex whose set grew at
-  that level, with its lowest new source.
+- the odd and the even span, the longest shortest odd and positive even
+  walk over all pairs, are the last level of that parity that grows
+  (infinite unless it ends full); the latest even level starts empty, since
+  the empty walk is not a positive even walk;
+- the exponent is the larger span minus one, and the witness pair is the
+  first vertex that grew at that level, with its lowest new source.
 
-The empty walk is not a positive even walk, so the both-parities set starts
-at level 2.  :func:`parity_distances` expands the same levels into the
-tables of shortest odd and shortest positive even walk lengths, and carries
-the profile of that scan.
+:func:`parity_distances` expands the same levels into the tables of
+shortest odd and shortest positive even walk lengths.
 
 The plain BFS (:func:`distance_matrix`, :func:`diameter`) stays separate:
 it is the ground truth on every built product.
@@ -50,9 +50,11 @@ Level = list[int]
 class ParityProfile:
     """Whole-graph facts read off one parity scan.
 
-    ``bipartite`` holds iff no vertex has an odd closed walk, and
-    ``witness_pair`` is the first pair in row-major order whose local
-    exponent equals ``exponent`` (None when the exponent is infinite).
+    ``bipartite`` holds iff no vertex has an odd closed walk.  The odd and
+    even spans (``odd_diameter``, ``even_diameter``) are infinite when some
+    pair has no walk of that parity.  ``witness_pair`` is the first pair in
+    row-major order whose local exponent equals ``exponent`` (None when the
+    exponent is infinite).
     """
 
     order: int
@@ -60,8 +62,14 @@ class ParityProfile:
     bipartite: bool
     odd_girth: ExtLen
     diameter: ExtLen
-    exponent: ExtLen
+    odd_diameter: ExtLen
+    even_diameter: ExtLen
     witness_pair: tuple[int, int] | None
+
+    @property
+    def exponent(self) -> ExtLen:
+        # Past its longer parity, a pair has walks of every length.
+        return max(self.odd_diameter, self.even_diameter) - 1
 
     @property
     def is_k_plus(self) -> bool:
@@ -74,10 +82,8 @@ class ParityProfile:
 class ParityDistances:
     """Shortest odd and shortest positive even walk lengths per ordered pair."""
 
-    order: int
     odd: Matrix
     even: Matrix
-    profile: ParityProfile
 
 
 @dataclass(frozen=True)
@@ -119,13 +125,19 @@ def _levels(g: Graph) -> Iterator[Level]:
         before, level = level, step
 
 
-def _profile(levels: Iterator[Level]) -> ParityProfile:
+def profile_of(g: Graph) -> ParityProfile:
+    """Connectivity, bipartiteness, odd girth, diameter and both spans at once.
+
+    One scan of the levels, read as they stream; no n x n table is built.
+    """
+    check_table_order(g.order)
+    levels = _levels(g)
     units = next(levels)
     n = len(units)
     full = (1 << n) - 1
-    reach, both, previous = units, [0] * n, units
+    reach, diam, girth = units, 0, INF
     reaching = reach.count(full) < n  # the reached sets stop growing once full
-    diam, girth, top, rise = 0, INF, 0, None
+    latest, prior, top = [[0] * n, [0] * n], [None, None], [0, 0]  # even, odd
     for k, level in enumerate(levels, 1):
         if reaching:
             grown = list(map(or_, reach, level))
@@ -134,73 +146,56 @@ def _profile(levels: Iterator[Level]) -> ParityProfile:
                 reaching = reach.count(full) < n
         if k % 2 and girth == INF and any(map(and_, level, units)):
             girth = k
-        if k >= 2:
-            joint = list(map(and_, level, previous))
-            if joint != both:
-                top, rise, both = k, (both, joint), joint
-        previous = level
-    connected = not reaching
-    primitive = both.count(full) == n
+        p = k % 2
+        if level != latest[p]:
+            top[p], prior[p], latest[p] = k, latest[p], level
+    spans = [top[p] if latest[p].count(full) == n else INF for p in (0, 1)]
     witness = None
-    if primitive:
-        old, new = rise
+    if INF not in spans:
+        # At the larger span the other parity is already full, so the pairs
+        # new to that level are exactly the pairs at the exponent.
+        p = max(spans) % 2
+        old, new = prior[p], latest[p]
         u = next(u for u in range(n) if old[u] != new[u])
         fresh = new[u] & ~old[u]
         witness = (u, (fresh & -fresh).bit_length() - 1)
+    connected = not reaching
     return ParityProfile(
         order=n,
         connected=connected,
         bipartite=girth == INF,
         odd_girth=girth,
         diameter=diam if connected else INF,
-        exponent=top - 1 if primitive else INF,
+        odd_diameter=spans[1],
+        even_diameter=spans[0],
         witness_pair=witness,
     )
-
-
-def profile_of(g: Graph) -> ParityProfile:
-    """Connectivity, bipartiteness, odd girth, diameter and exponent at once.
-
-    One scan of the levels, read as they stream; no n x n table is built.
-    """
-    check_table_order(g.order)
-    return _profile(_levels(g))
 
 
 def parity_distances(g: Graph) -> ParityDistances:
     """Exact shortest odd and shortest positive even walk lengths, all pairs.
 
     The entries of a row at level ``k`` are the sources that level adds to
-    the latest level of its parity; the profile is read off the same scan.
+    the latest level of its parity.
     """
     check_table_order(g.order)
     n = g.order
     odd = [[INF] * n for _ in range(n)]
     even = [[INF] * n for _ in range(n)]
-
-    def expanded() -> Iterator[Level]:
-        levels = _levels(g)
-        yield next(levels)  # the empty walk is not a positive even walk
-        latest = [[0] * n, [0] * n]  # the latest even and odd level
-        for k, level in enumerate(levels, 1):
-            table = odd if k % 2 else even
-            # A level contains the one two before it: XOR leaves the new sources.
-            fresh = list(map(xor, level, latest[k % 2]))
-            for row, bits in compress(zip(table, fresh), fresh):
-                while bits:
-                    v = bits.bit_length() - 1
-                    row[v] = k
-                    bits ^= 1 << v
-            latest[k % 2] = level
-            yield level
-
-    profile = _profile(expanded())
-    return ParityDistances(
-        order=n,
-        odd=tuple(map(tuple, odd)),
-        even=tuple(map(tuple, even)),
-        profile=profile,
-    )
+    levels = _levels(g)
+    next(levels)  # the empty walk is not a positive even walk
+    latest = [[0] * n, [0] * n]  # the latest even and odd level
+    for k, level in enumerate(levels, 1):
+        table = odd if k % 2 else even
+        # A level contains the one two before it: XOR leaves the new sources.
+        fresh = list(map(xor, level, latest[k % 2]))
+        for row, bits in compress(zip(table, fresh), fresh):
+            while bits:
+                v = bits.bit_length() - 1
+                row[v] = k
+                bits ^= 1 << v
+        latest[k % 2] = level
+    return ParityDistances(odd=tuple(map(tuple, odd)), even=tuple(map(tuple, even)))
 
 
 def distance_matrix(g: Graph) -> Matrix:

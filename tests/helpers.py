@@ -63,7 +63,9 @@ def walk_profile(g: Graph) -> dict:
     diam = max(0 if u == v else min(odd[u][v], even[u][v]) for u, v in pairs)
     girth = min(odd[u][u] for u in range(n))
     longer = [max(odd[u][v], even[u][v]) for u, v in pairs]
-    gamma = max(longer) - 1
+    odd_span = max(odd[u][v] for u, v in pairs)
+    even_span = max(even[u][v] for u, v in pairs)
+    gamma = max(odd_span, even_span) - 1
     witness = pairs[longer.index(gamma + 1)]
     return {
         "odd": tuple(map(tuple, odd)),
@@ -73,7 +75,8 @@ def walk_profile(g: Graph) -> dict:
         "bipartite": girth == INF,
         "odd_girth": girth,
         "diameter": diam,
-        "exponent": gamma,
+        "odd_diameter": odd_span,
+        "even_diameter": even_span,
         "witness_pair": witness if gamma != INF else None,
     }
 

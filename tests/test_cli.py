@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,19 @@ def test_product_trivial_factor(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["predicted"] == 2 and doc["measured"] == 2
+
+
+def test_product_builds_no_all_pairs_table(capsys):
+    # Expanding the factors' parity tables for path:600 peaked at 11.95 MB;
+    # two profiles keep a few lists of 600 bitsets of at most 600 bits each.
+    tracemalloc.start()
+    try:
+        code = main(["product", "path:600", "cycle:3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["measured"] == 599
+    assert peak < 2_000_000
 
 
 def test_predict_order_one_factor_in_argument_order(capsys):

@@ -133,13 +133,19 @@ def _negated(real):
     return lambda g: not real(g)
 
 
-def _longer_odd_walks(real):
-    def wrong(g):
-        pd = real(g)
-        longer = tuple(tuple(x + 2 for x in row) for row in pd.odd)
-        return dataclasses.replace(pd, odd=longer)
+def _shifted_spans(odd, even):
+    def mutate(real):
+        def wrong(g):
+            s = real(g)
+            return dataclasses.replace(
+                s,
+                odd_diameter=s.odd_diameter + odd,
+                even_diameter=s.even_diameter + even,
+            )
 
-    return wrong
+        return wrong
+
+    return mutate
 
 
 @pytest.mark.parametrize(
@@ -148,8 +154,8 @@ def _longer_odd_walks(real):
         ("Prop1.1", "exponent", _off_by_one("gamma")),  # the brute force
         ("Lem2.4", "is_connected", _negated),  # the brute force
         ("Thm3.4", "is_k_plus", _negated),  # the closed form
-        ("CorK2", "summarize", _off_by_one("exponent")),  # the closed form
-        ("ParityRoute", "parity_distances", _longer_odd_walks),  # the closed form
+        ("CorK2", "summarize", _shifted_spans(1, 1)),  # the closed form
+        ("ParityRoute", "summarize", _shifted_spans(2, 0)),  # the closed form
     ],
 )
 def test_closed_form_claims_catch_a_broken_route(monkeypatch, claim_id, name, mutate):
@@ -170,13 +176,7 @@ def test_clique_family_claim_finds_the_clique_size(monkeypatch):
     # the family skipped.
     check = REGISTRY["Cor3.2"].check
     assert check((make_h_family(7, 4),)) is None
-    real = claims.summarize
-
-    def shifted(g):
-        s = real(g)
-        return dataclasses.replace(s, exponent=s.exponent + 1)
-
-    monkeypatch.setattr(claims, "summarize", shifted)
+    monkeypatch.setattr(claims, "summarize", _shifted_spans(1, 1)(claims.summarize))
     failure = check((make_h_family(7, 4),))
     assert (failure.expected, failure.actual) == (8, 9)
     assert check((make_f_family(7, 5),)) is None

@@ -14,11 +14,11 @@ from kronwalk import (
     make_complete,
     make_cycle,
     make_path,
-    parity_distances,
     product_diameter,
     product_edge_count,
     product_is_connected,
     random_graph,
+    summarize,
 )
 import kronwalk.graphs as graphs_module
 
@@ -145,8 +145,7 @@ def test_connectivity_criterion_agrees_with_bfs(g1, g2):
 
 def _assert_measured_without_product(g1, g2):
     p = kronecker_product(g1, g2)
-    pd1, pd2 = parity_distances(g1), parity_distances(g2)
-    assert product_diameter(pd1, pd2) == diameter(p), (g1, g2)
+    assert product_diameter(summarize(g1), summarize(g2)) == diameter(p), (g1, g2)
     assert product_edge_count(g1, g2) == p.edge_count, (g1, g2)
 
 

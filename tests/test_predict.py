@@ -27,7 +27,9 @@ from kronwalk.predict import (
     CASE_GAMMA1_GREATER,
     CASE_GAMMA2_GREATER,
     CASE_ORDER_ONE,
+    _multipartite_profile,
 )
+from kronwalk.harness.claims import _PART_LISTS
 
 from helpers import graphs
 
@@ -143,6 +145,12 @@ def test_multipartite_factor():
     assert predict_multipartite_factor(summarize(make_path(3)), [2, 2, 2]).value == 3
     with pytest.raises(ValueError, match="parts"):
         predict_multipartite_factor(summarize(make_cycle(3)), [2, 2])
+
+
+@pytest.mark.parametrize("parts", [*_PART_LISTS, [4, 3, 2, 1]])
+def test_multipartite_profile_matches_the_scan(parts):
+    # The closed form types the factor's profile in by hand, spans included.
+    assert _multipartite_profile(parts) == summarize(make_complete_multipartite(parts))
 
 
 def test_multipartite_factor_matches_brute_force():

@@ -1,10 +1,12 @@
-"""The walk route and the boolean-power route never import each other.
+"""Routes that check each other never import each other.
 
 ``exponent`` (the level scan in ``walks``) and ``oracle_exponent`` (powers
 in ``boolmat``) check each other only while they share no code, so no
 module on the walk side may import ``boolmat``, and ``boolmat`` may not
-import ``walks``.  Imports are read from the syntax tree, so an import
-inside a function counts too.
+import ``walks``.  Likewise ``product_diameter`` (in ``kronecker``) checks the
+closed forms (in ``predict``) from the same factor profiles, so ``kronecker``
+may not import ``predict``.  Imports are read from the syntax tree, so an
+import inside a function counts too.
 """
 
 import ast
@@ -39,6 +41,10 @@ def test_walk_side_never_imports_boolmat(module):
 
 def test_boolmat_never_imports_walks():
     assert "walks" not in _imported_modules("boolmat")
+
+
+def test_kronecker_never_imports_predict():
+    assert "predict" not in _imported_modules("kronecker")
 
 
 def test_the_reader_sees_relative_imports():

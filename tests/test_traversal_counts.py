@@ -85,16 +85,16 @@ def builds(monkeypatch):
     return calls
 
 
-def test_product_reads_two_parity_tables_and_builds_nothing(traversals, builds, capsys):
+def test_product_reads_two_profiles_and_builds_nothing(traversals, builds, capsys):
     assert cli.main(["product", "cycle:59", "cycle:61"]) == 0
-    assert traversals == [("parity_distances", "cmd_product")] * 2
+    assert traversals == [PROFILE, PROFILE]
     assert builds == []
 
 
 def test_product_builds_the_product_once_for_out(traversals, builds, capsys, tmp_path):
     out = str(tmp_path / "p.edges")
     assert cli.main(["product", "cycle:5", "path:4", "--out", out]) == 0
-    assert traversals == [("parity_distances", "cmd_product")] * 2
+    assert traversals == [PROFILE, PROFILE]
     assert builds == [(5, 4)]
 
 
