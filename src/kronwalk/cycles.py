@@ -4,22 +4,30 @@ For an odd cycle C in a connected graph, every vertex pair has two walks of
 opposite parity through C whose lengths are at most
 ``2 * ecc(C) + |C| - 1`` plus one, where ``ecc(C)`` is the largest distance
 from a vertex outside C to C.  Minimizing ``2 * ecc(C) + |C| - 1`` over all
-odd cycles therefore bounds the exponent from above; loops participate as
-cycles of length one.
+odd cycles therefore bounds the exponent from above on graphs of order two
+or more; loops participate as cycles of length one.
+
+The search for cycles of length three or more runs on the 2-core only:
+vertices with at most one neighbour besides themselves are peeled until none
+is left, since every vertex of such a cycle keeps its two cycle neighbours.
+A cycle is scored by one breadth-first search from all its vertices at once,
+cut off at the depth from which its value could no longer beat the best so
+far, so the bound builds no all-pairs table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 from .extlen import INF, ExtLen
 from .graphs import Graph
-from .walks import Matrix, distance_matrix
+from .walks import is_connected
 
 DEFAULT_CYCLE_CAP = 100_000
 
 OddCycle = tuple[int, ...]
+Neighbors = Callable[[int], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -32,7 +40,34 @@ class CycleBoundReport:
     cycles_considered: int
 
 
-def _simple_cycles_from(g: Graph, anchor: int) -> Iterator[OddCycle]:
+def _core_neighbors(g: Graph) -> Neighbors:
+    """Sorted neighbours within the 2-core; peeled vertices have none.
+
+    A vertex is peeled while at most one neighbour other than itself is left.
+    When nothing is peeled the graph's own lists are returned, unchanged.
+    """
+    n = g.order
+    left = [len(g.neighbors(u)) - g.has_loop(u) for u in range(n)]
+    stack = [u for u in range(n) if left[u] <= 1]
+    if not stack:
+        return g.neighbors
+    peeled = [False] * n
+    for u in stack:
+        peeled[u] = True
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if not peeled[w]:
+                left[w] -= 1
+                if left[w] <= 1:
+                    peeled[w] = True
+                    stack.append(w)
+    return [
+        () if gone else tuple(w for w in g.neighbors(u) if not peeled[w])
+        for u, gone in enumerate(peeled)
+    ].__getitem__
+
+
+def _simple_cycles_from(neighbors: Neighbors, anchor: int) -> Iterator[OddCycle]:
     # DFS path extension: only vertices above the anchor may join the path,
     # and a closing is accepted only with path[1] < path[-1], so each odd
     # cycle of length >= 3 appears exactly once, anchored at its minimum.
@@ -40,7 +75,7 @@ def _simple_cycles_from(g: Graph, anchor: int) -> Iterator[OddCycle]:
     # length is not limited by the interpreter's recursion depth.
     path = [anchor]
     on_path = {anchor}
-    pending = [iter(g.neighbors(anchor))]
+    pending = [iter(neighbors(anchor))]
     while pending:
         for w in pending[-1]:
             if w == anchor:
@@ -49,7 +84,7 @@ def _simple_cycles_from(g: Graph, anchor: int) -> Iterator[OddCycle]:
             elif w > anchor and w not in on_path:
                 path.append(w)
                 on_path.add(w)
-                pending.append(iter(g.neighbors(w)))
+                pending.append(iter(neighbors(w)))
                 break
         else:
             pending.pop()
@@ -62,22 +97,39 @@ def enumerate_odd_cycles(g: Graph) -> Iterator[OddCycle]:
     A loop at v is the length-1 cycle ``(v,)``.  The stream is deterministic:
     anchored at the smallest vertex, lexicographic extension.
     """
+    core = _core_neighbors(g)
     for anchor in range(g.order):
         if g.has_loop(anchor):
             yield (anchor,)
-        yield from _simple_cycles_from(g, anchor)
+        if core(anchor):
+            yield from _simple_cycles_from(core, anchor)
 
 
-def _eccentricity(dist: Matrix, cycle: OddCycle) -> int:
-    members = set(cycle)
-    return max(
-        (
-            min(map(row.__getitem__, cycle))
-            for x, row in enumerate(dist)
-            if x not in members
-        ),
-        default=0,
-    )
+def _eccentricity_below(g: Graph, cycle: OddCycle, limit: ExtLen) -> int | None:
+    """``ecc(cycle)`` if it is below ``limit``, else None.
+
+    One BFS from every cycle vertex at once, stopped before it enters the
+    depth ``limit``.  The graph must be connected.
+    """
+    seen = bytearray(g.order)
+    for v in cycle:
+        seen[v] = 1
+    left = g.order - len(cycle)
+    frontier = cycle
+    depth = 0
+    while left:
+        depth += 1
+        if depth >= limit:
+            return None
+        reached = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if not seen[w]:
+                    seen[w] = 1
+                    reached.append(w)
+        left -= len(reached)
+        frontier = reached
+    return depth
 
 
 def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
@@ -89,8 +141,7 @@ def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    dist = distance_matrix(g)
-    if INF in dist[0]:
+    if not is_connected(g):
         raise ValueError("graph must be connected")
     best: ExtLen = INF
     best_cycle: OddCycle | None = None
@@ -105,9 +156,11 @@ def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
         # misses a vertex, which then lies at distance at least 1 from it.
         if len(cycle) - 1 + (2 if len(cycle) < g.order else 0) >= best:
             continue
-        value = 2 * _eccentricity(dist, cycle) + len(cycle) - 1
-        if value < best:
-            best = value
+        # best and len(cycle) - 1 are even, so the halving is exact (and
+        # leaves INF infinite): the cycle wins iff its eccentricity is below.
+        ecc = _eccentricity_below(g, cycle, (best - len(cycle) + 1) / 2)
+        if ecc is not None:
+            best = 2 * ecc + len(cycle) - 1
             best_cycle = cycle
     return CycleBoundReport(
         l_o=best, best_cycle=best_cycle, exact=exact, cycles_considered=considered

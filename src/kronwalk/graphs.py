@@ -27,11 +27,11 @@ MAX_ORDER = 100_000
 MAX_EDGES = 1_000_000
 # Largest order of a graph given an all-pairs table or a parity scan.  A
 # table costs about 50 bytes per vertex pair, so 3,000 vertices need about
-# 450 MB; only `metrics`'s cycle bound and the verify checkers build one.
-# The scan behind `summarize`, all that `predict` and `product` run, builds
-# no table, so for it the limit bounds time instead: the scan runs about as
-# many levels as the exponent or the diameter, and on a 2-vCPU host
-# `path:3000` takes about 4-6 s and `F:3000,5` about 8 s.
+# 450 MB; only `diameter` and the verify checkers build one.  The scan behind
+# `summarize`, which `metrics`, `predict` and `product` run, builds no table,
+# so for it the limit bounds time instead: the scan runs about as many levels
+# as the exponent or the diameter, and on a 2-vCPU host `path:3000` takes
+# about 4-6 s and `F:3000,5` about 8 s.
 MAX_TABLE_ORDER = 3_000
 
 

@@ -3,7 +3,10 @@
 ``walk_reach`` is the independent oracle used throughout: it enumerates
 walk existence length by length with a direct dynamic program over the
 adjacency structure and shares no code with the parity level scan or the
-boolean matrix powers it is used to check.
+boolean matrix powers it is used to check.  ``brute_odd_cycles`` and
+``brute_l_o_bound`` are the brute force for the odd-cycle bound: a DFS from
+every anchor over the whole graph, and every cycle scored off the plain BFS
+distance table.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import random
 
 from hypothesis import strategies as st
 
-from kronwalk import INF, Graph, is_connected, random_graph
+from kronwalk import INF, Graph, distance_matrix, is_connected, random_graph
 
 ACCEPT_SEED = 7
 
@@ -87,6 +90,48 @@ def dp_distance(g: Graph, u: int, v: int, max_len: int):
         if layer[u][v]:
             return k
     return INF
+
+
+def brute_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """Every simple odd cycle, in the order ``enumerate_odd_cycles`` documents.
+
+    Anchored at its smallest vertex, extended in increasing neighbour order
+    over the whole graph, and kept once, with ``path[1] < path[-1]``; a loop
+    ``(v,)`` comes first among the cycles anchored at ``v``.
+    """
+    found = []
+
+    def extend(path: list[int]) -> None:
+        for w in g.neighbors(path[-1]):
+            if w == path[0]:
+                if len(path) >= 3 and len(path) % 2 and path[1] < path[-1]:
+                    found.append(tuple(path))
+            elif w > path[0] and w not in path:
+                extend(path + [w])
+
+    for anchor in range(g.order):
+        if g.has_loop(anchor):
+            found.append((anchor,))
+        extend([anchor])
+    return found
+
+
+def brute_l_o_bound(g: Graph, cap: int) -> tuple:
+    """``(l_o, best_cycle, exact, cycles_considered)`` over the first ``cap`` cycles.
+
+    Every cycle is scored by ``2 * ecc(C) + |C| - 1`` with the eccentricity
+    read off the full distance table, and the first minimum is kept.
+    """
+    dist = distance_matrix(g)
+    cycles = brute_odd_cycles(g)
+    kept = cycles[:cap]
+    values = [
+        2 * max(min(dist[x][v] for v in c) for x in range(g.order)) + len(c) - 1
+        for c in kept
+    ]
+    best = min(values, default=INF)
+    best_cycle = kept[values.index(best)] if values else None
+    return best, best_cycle, len(cycles) <= cap, len(kept)
 
 
 @st.composite

@@ -151,6 +151,19 @@ def test_product_builds_no_all_pairs_table(capsys):
     assert peak < 2_000_000
 
 
+def test_metrics_builds_no_all_pairs_table(capsys):
+    # The cycle bound's distance table for path:600 peaked at 7.0 MB; the
+    # profile and one BFS per scored cycle keep a few lists of 600 entries.
+    tracemalloc.start()
+    try:
+        code = main(["metrics", "path:600"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["l_o"] == "inf"
+    assert peak < 2_000_000
+
+
 def test_predict_order_one_factor_in_argument_order(capsys):
     code, out, _ = run_cli(capsys, "predict", "complete+:1", "cycle:5")
     assert code == 0

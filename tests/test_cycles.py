@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from kronwalk import (
     INF,
     Graph,
+    enumerate_graphs,
     enumerate_odd_cycles,
     exponent,
     is_connected,
@@ -12,10 +15,12 @@ from kronwalk import (
     make_cycle,
     make_f_family,
     make_h_family,
+    make_path,
     odd_girth,
 )
+from kronwalk.cycles import DEFAULT_CYCLE_CAP
 
-from helpers import graphs
+from helpers import brute_l_o_bound, brute_odd_cycles, graphs
 
 
 def test_enumeration_examples():
@@ -124,24 +129,22 @@ def test_cycles_that_cannot_win_are_not_scored(monkeypatch):
     import kronwalk.cycles as cycles
 
     scored = []
-    real = cycles._eccentricity
+    real = cycles._eccentricity_below
 
-    def counted(dist, cycle):
+    def counted(g, cycle, limit):
         scored.append(cycle)
-        return real(dist, cycle)
+        return real(g, cycle, limit)
 
-    monkeypatch.setattr(cycles, "_eccentricity", counted)
+    monkeypatch.setattr(cycles, "_eccentricity_below", counted)
     report = l_o_bound(make_complete(8))
     assert scored == [(0, 1, 2)]
     assert report.cycles_considered > 1
     assert (report.l_o, report.best_cycle, report.exact) == (4, (0, 1, 2), True)
 
 
-def test_bound_equals_the_first_best_of_all_scored_cycles():
-    # Brute force: score every odd cycle, keep the first minimum.
-    from kronwalk import distance_matrix, enumerate_graphs
-    from kronwalk.cycles import _eccentricity
-
+def _ensemble():
+    # Every small connected graph, trees with a few chords and loops (long
+    # branches for the 2-core peel), and the named families.
     small = [
         g
         for loops, top in ((False, 5), (True, 4))
@@ -149,14 +152,38 @@ def test_bound_equals_the_first_best_of_all_scored_cycles():
         for g in enumerate_graphs(n, allow_loops=loops)
         if is_connected(g)
     ]
-    for g in small:
-        dist = distance_matrix(g)
-        cycles = list(enumerate_odd_cycles(g))
-        values = [2 * _eccentricity(dist, c) + len(c) - 1 for c in cycles]
-        report = l_o_bound(g)
-        assert report.cycles_considered == len(cycles)
-        if values:
-            best = min(values)
-            assert (report.l_o, report.best_cycle) == (best, cycles[values.index(best)])
-        else:
-            assert (report.l_o, report.best_cycle) == (INF, None)
+    rng = random.Random(11)
+    sparse = []
+    for _ in range(60):
+        n = rng.randint(2, 16)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges.update(tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3)))
+        edges.update((v, v) for v in range(n) if rng.random() < 0.1)
+        sparse.append(Graph(n, edges))
+    named = [make_f_family(30, 5), make_h_family(20, 4), make_path(12), make_cycle(11)]
+    return small + sparse + named
+
+
+def _assert_bound_is_brute_force(g):
+    for cap in (1, 3, DEFAULT_CYCLE_CAP):
+        report = l_o_bound(g, cap=cap)
+        found = (report.l_o, report.best_cycle, report.exact, report.cycles_considered)
+        assert found == brute_l_o_bound(g, cap), (g, cap)
+
+
+def test_bound_equals_the_first_best_of_all_scored_cycles():
+    for g in _ensemble():
+        _assert_bound_is_brute_force(g)
+
+
+def test_enumeration_equals_the_unpruned_search():
+    for g in _ensemble():
+        assert list(enumerate_odd_cycles(g)) == brute_odd_cycles(g), g
+
+
+@given(graphs(min_order=1, max_order=7))
+@settings(max_examples=150, deadline=None)
+def test_cycle_search_equals_brute_force_on_graphs_with_loops(g):
+    assert list(enumerate_odd_cycles(g)) == brute_odd_cycles(g)
+    if is_connected(g):
+        _assert_bound_is_brute_force(g)

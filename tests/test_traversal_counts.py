@@ -47,7 +47,8 @@ def test_summarize_runs_one_parity_traversal(traversals):
 
 def test_metrics_runs_one_profile_and_the_cycle_bound(traversals, capsys):
     assert cli.main(["metrics", "F:30,5"]) == 0
-    assert sorted(traversals) == sorted([PROFILE, ("distance_matrix", "l_o_bound")])
+    # The cycle bound checks connectivity and builds no all-pairs table.
+    assert sorted(traversals) == sorted([PROFILE, ("is_connected", "l_o_bound")])
 
 
 @pytest.mark.parametrize(
