@@ -10,9 +10,11 @@ or more; loops participate as cycles of length one.
 The search for cycles of length three or more runs on the 2-core only:
 vertices with at most one neighbour besides themselves are peeled until none
 is left, since every vertex of such a cycle keeps its two cycle neighbours.
-A cycle is scored by one breadth-first search from all its vertices at once,
-cut off at the depth from which its value could no longer beat the best so
-far, so the bound builds no all-pairs table.
+A cycle is scored by one breadth-first search from all its vertices at once
+(:func:`walks.eccentricity`), cut off at the depth from which its value could
+no longer beat the best so far, so the bound builds no all-pairs table.  The
+first cycle's search has no cut-off, so it also shows whether the graph is
+connected.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .extlen import INF, ExtLen
 from .graphs import Graph
-from .walks import is_connected
+from .walks import eccentricity, is_connected
 
 DEFAULT_CYCLE_CAP = 100_000
 
@@ -105,33 +107,6 @@ def enumerate_odd_cycles(g: Graph) -> Iterator[OddCycle]:
             yield from _simple_cycles_from(core, anchor)
 
 
-def _eccentricity_below(g: Graph, cycle: OddCycle, limit: ExtLen) -> int | None:
-    """``ecc(cycle)`` if it is below ``limit``, else None.
-
-    One BFS from every cycle vertex at once, stopped before it enters the
-    depth ``limit``.  The graph must be connected.
-    """
-    seen = bytearray(g.order)
-    for v in cycle:
-        seen[v] = 1
-    left = g.order - len(cycle)
-    frontier = cycle
-    depth = 0
-    while left:
-        depth += 1
-        if depth >= limit:
-            return None
-        reached = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = 1
-                    reached.append(w)
-        left -= len(reached)
-        frontier = reached
-    return depth
-
-
 def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
     """Minimum of ``2 * ecc(C) + |C| - 1`` over enumerated odd cycles.
 
@@ -141,8 +116,6 @@ def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
     best: ExtLen = INF
     best_cycle: OddCycle | None = None
     considered = 0
@@ -158,10 +131,15 @@ def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
             continue
         # best and len(cycle) - 1 are even, so the halving is exact (and
         # leaves INF infinite): the cycle wins iff its eccentricity is below.
-        ecc = _eccentricity_below(g, cycle, (best - len(cycle) + 1) / 2)
+        ecc = eccentricity(g, cycle, (best - len(cycle) + 1) / 2)
         if ecc is not None:
             best = 2 * ecc + len(cycle) - 1
             best_cycle = cycle
+        elif best == INF:
+            # The first scored cycle has no depth limit: a vertex is unreachable.
+            raise ValueError("graph must be connected")
+    if best == INF and not is_connected(g):
+        raise ValueError("graph must be connected")
     return CycleBoundReport(
         l_o=best, best_cycle=best_cycle, exact=exact, cycles_considered=considered
     )

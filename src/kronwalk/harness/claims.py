@@ -345,24 +345,15 @@ def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
     (g,) = instance
     if g.order < 2:
         return None  # trivial
-    pd = parity_distances(g)
-    gamma = max(map(max, pd.odd + pd.even)) - 1
+    s = summarize(g)
+    gamma = s.exponent
     if not is_finite(gamma):
         return None  # not primitive
-    n = g.order
-    pairs = [(u, v) for u in range(n) for v in range(n)]
-    if int(gamma) % 2 == 1:
-        hit_at = any(pd.odd[u][v] == gamma for u, v in pairs)
-        hit_next = any(pd.even[u][v] == gamma + 1 for u, v in pairs if u != v)
-        parity = "odd"
-    else:
-        hit_at = any(pd.even[u][v] == gamma for u, v in pairs if u != v)
-        hit_next = any(pd.odd[u][v] == gamma + 1 for u, v in pairs)
-        parity = "even"
-    if not hit_at:
+    # The larger span is gamma + 1, so the other parity reaches it; a pair's
+    # shortest walk of gamma's parity has length gamma iff that span is gamma.
+    if min(s.odd_diameter, s.even_diameter) != gamma:
+        parity = "odd" if gamma % 2 else "even"
         return Failure(True, False, f"no shortest {parity} walk of length {gamma}")
-    if not hit_next:
-        return Failure(True, False, f"no opposite-parity walk of length {gamma + 1}")
     return None
 
 
@@ -531,8 +522,6 @@ def _main_formula(g1: Graph, g2: Graph) -> ExtLen:
 )
 def _both_k_plus(g1: Graph, g2: Graph) -> bool | None:
     if g1.order < 2 or g2.order < 2:
-        return None
-    if not is_connected(g1) or not is_connected(g2):
         return None
     return is_k_plus(g1) and is_k_plus(g2)
 

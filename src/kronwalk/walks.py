@@ -27,14 +27,16 @@ stream, and builds no n x n table:
 :func:`parity_distances` expands the same levels into the tables of
 shortest odd and shortest positive even walk lengths.
 
-The plain BFS (:func:`distance_matrix`, :func:`diameter`) stays separate:
-it is the ground truth on every built product.
+Every plain BFS reads one generator, ``_bfs_levels``, of the vertices at
+each distance from a set of sources: :func:`distance_matrix` (behind
+:func:`diameter`, the ground truth on every built product),
+:func:`eccentricity` (the odd-cycle bound's scorer), :func:`is_connected`
+and :func:`is_bipartite`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import and_, or_, xor
@@ -198,6 +200,28 @@ def parity_distances(g: Graph) -> ParityDistances:
     return ParityDistances(odd=tuple(map(tuple, odd)), even=tuple(map(tuple, even)))
 
 
+def _bfs_levels(g: Graph, sources: Iterable[int]) -> Iterator[Level]:
+    """The vertices at distance 0, 1, 2, ... from the distinct ``sources``.
+
+    Ends at the first empty level, so every vertex left unseen then is
+    unreachable.
+    """
+    seen = bytearray(g.order)
+    frontier = list(sources)
+    for v in frontier:
+        seen[v] = 1
+    neighbors = g.neighbors
+    while frontier:
+        yield frontier
+        reached = []
+        for v in frontier:
+            for w in neighbors(v):
+                if not seen[w]:
+                    seen[w] = 1
+                    reached.append(w)
+        frontier = reached
+
+
 def distance_matrix(g: Graph) -> Matrix:
     """All-pairs graph distances by BFS; INF marks unreachable pairs."""
     check_table_order(g.order)
@@ -205,14 +229,9 @@ def distance_matrix(g: Graph) -> Matrix:
     rows = []
     for source in range(n):
         dist: list[ExtLen] = [INF] * n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if dist[w] == INF:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
+        for depth, level in enumerate(_bfs_levels(g, (source,))):
+            for v in level:
+                dist[v] = depth
         rows.append(tuple(dist))
     return tuple(rows)
 
@@ -222,40 +241,39 @@ def diameter(g: Graph) -> ExtLen:
     return max(max(row) for row in distance_matrix(g))
 
 
+def eccentricity(g: Graph, sources: Iterable[int], limit: ExtLen = INF) -> int | None:
+    """Largest distance from the distinct ``sources`` to a vertex, if below ``limit``.
+
+    None, expanding no further level, once a vertex proves unreachable or
+    the next level would reach depth ``limit``.
+    """
+    left = g.order
+    for depth, level in enumerate(_bfs_levels(g, sources)):
+        left -= len(level)
+        if not left:
+            return depth
+        if depth + 1 >= limit:
+            return None
+    return None
+
+
 def is_connected(g: Graph) -> bool:
-    seen = [False] * g.order
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.order
+    return sum(map(len, _bfs_levels(g, (0,)))) == g.order
 
 
 def is_bipartite(g: Graph) -> bool:
-    """Two-colorability; a loop always breaks it."""
-    color = [-1] * g.order
-    for start in range(g.order):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w == v:
-                    return False
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    """Two-colorability; a loop always breaks it.
+
+    Within a component, the ends of an edge lie at equal or adjacent depths
+    from the root, and an edge within one level closes an odd cycle.
+    """
+    depth = [-1] * g.order
+    for root in range(g.order):
+        if depth[root] < 0:
+            for d, level in enumerate(_bfs_levels(g, (root,))):
+                for v in level:
+                    depth[v] = d
+    return all(depth[v] != depth[w] for v in range(g.order) for w in g.neighbors(v))
 
 
 def odd_girth(g: Graph) -> ExtLen:

@@ -5,8 +5,9 @@ walk existence length by length with a direct dynamic program over the
 adjacency structure and shares no code with the parity level scan or the
 boolean matrix powers it is used to check.  ``brute_odd_cycles`` and
 ``brute_l_o_bound`` are the brute force for the odd-cycle bound: a DFS from
-every anchor over the whole graph, and every cycle scored off the plain BFS
-distance table.
+every anchor over the whole graph, and every cycle scored off
+``dp_distances``, read from the walk enumeration and not from the BFS that
+the bound itself runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 
 from hypothesis import strategies as st
 
-from kronwalk import INF, Graph, distance_matrix, is_connected, random_graph
+from kronwalk import INF, Graph, is_connected, random_graph
 
 ACCEPT_SEED = 7
 
@@ -84,12 +85,14 @@ def walk_profile(g: Graph) -> dict:
     }
 
 
-def dp_distance(g: Graph, u: int, v: int, max_len: int):
-    """Graph distance as the first walk length reaching v (INF if none)."""
-    for k, layer in enumerate(walk_reach(g, max_len)):
-        if layer[u][v]:
-            return k
-    return INF
+def dp_distances(g: Graph) -> list[list]:
+    """Graph distances as the first walk length reaching v from u (INF if none)."""
+    n = g.order
+    layers = walk_reach(g, n - 1)
+    return [
+        [next((k for k, layer in enumerate(layers) if layer[u][v]), INF) for v in range(n)]
+        for u in range(n)
+    ]
 
 
 def brute_odd_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -120,9 +123,9 @@ def brute_l_o_bound(g: Graph, cap: int) -> tuple:
     """``(l_o, best_cycle, exact, cycles_considered)`` over the first ``cap`` cycles.
 
     Every cycle is scored by ``2 * ecc(C) + |C| - 1`` with the eccentricity
-    read off the full distance table, and the first minimum is kept.
+    read off the walk-enumeration distances, and the first minimum is kept.
     """
-    dist = distance_matrix(g)
+    dist = dp_distances(g)
     cycles = brute_odd_cycles(g)
     kept = cycles[:cap]
     values = [

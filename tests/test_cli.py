@@ -453,3 +453,26 @@ def test_verify_refuses_an_empty_claim_list(monkeypatch, capsys, claims):
     assert out == ""
     assert "--claims" in err
     assert campaigns == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrics", "cycle:5"],
+        ["verify", "--claims", "Thm3.1,Lem2.6", "--exhaustive", "2", "--random", "3"],
+    ],
+)
+def test_benchmark_tracer_runs_the_cli(tmp_path, argv):
+    # The benchmark's tracer imports kronwalk.cli alone, then looks up every
+    # kronwalk module in sys.modules: that import must still load them all.
+    root = Path(__file__).parents[1]
+    trace = tmp_path / "run.trace"
+    result = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracechild.py"), str(trace),
+         str(time.time()), *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    json.loads(result.stdout)
+    assert trace.stat().st_size > 0

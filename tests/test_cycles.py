@@ -20,7 +20,7 @@ from kronwalk import (
 )
 from kronwalk.cycles import DEFAULT_CYCLE_CAP
 
-from helpers import brute_l_o_bound, brute_odd_cycles, graphs
+from helpers import brute_l_o_bound, brute_odd_cycles, dp_distances, graphs
 
 
 def test_enumeration_examples():
@@ -129,17 +129,46 @@ def test_cycles_that_cannot_win_are_not_scored(monkeypatch):
     import kronwalk.cycles as cycles
 
     scored = []
-    real = cycles._eccentricity_below
+    real = cycles.eccentricity
 
     def counted(g, cycle, limit):
         scored.append(cycle)
         return real(g, cycle, limit)
 
-    monkeypatch.setattr(cycles, "_eccentricity_below", counted)
+    monkeypatch.setattr(cycles, "eccentricity", counted)
     report = l_o_bound(make_complete(8))
     assert scored == [(0, 1, 2)]
     assert report.cycles_considered > 1
     assert (report.l_o, report.best_cycle, report.exact) == (4, (0, 1, 2), True)
+
+
+def test_bound_refuses_every_disconnected_graph(monkeypatch):
+    import kronwalk.cycles as cycles
+
+    disconnected = [
+        g
+        for loops, top in ((False, 5), (True, 4))
+        for n in range(2, top + 1)
+        for g in enumerate_graphs(n, allow_loops=loops)
+        if INF in dp_distances(g)[0]
+    ]
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with_cycle = [g for g in disconnected if list(enumerate_odd_cycles(g))]
+    bipartite = [g for g in disconnected if not list(enumerate_odd_cycles(g))]
+    assert with_cycle and bipartite
+    for g in bipartite:
+        with pytest.raises(ValueError, match="connected"):
+            l_o_bound(g)
+
+    # With an odd cycle, the first cycle's search finds the unreachable
+    # vertex, and no separate connectivity search runs.
+    def no_search(g):
+        raise AssertionError("connectivity searched on its own")
+
+    monkeypatch.setattr(cycles, "is_connected", no_search)
+    for g in with_cycle + [two_triangles]:
+        with pytest.raises(ValueError, match="connected"):
+            l_o_bound(g)
 
 
 def _ensemble():

@@ -182,6 +182,18 @@ def test_clique_family_claim_finds_the_clique_size(monkeypatch):
     assert check((make_f_family(7, 5),)) is None
 
 
+def test_parity_extremal_claim_reads_the_spans(monkeypatch):
+    # C5 has odd span 5 and even span 4, so exponent 4 and a shortest even
+    # walk of length 4; an even span of 2 leaves none of that length.
+    check = REGISTRY["Lem2.6"].check
+    assert check((make_cycle(5),)) is None
+    monkeypatch.setattr(claims, "summarize", _shifted_spans(0, -2)(claims.summarize))
+    failure = check((make_cycle(5),))
+    assert failure.detail == "no shortest even walk of length 4"
+    (outcome,) = run_campaign(["Lem2.6"], SMALL, seed=0)
+    assert outcome.counterexample is not None
+
+
 def test_diameter_claim_compares_the_closed_form_with_bfs():
     claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(
         lambda g1, g2: 4 if g1.order == g2.order else None

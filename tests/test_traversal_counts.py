@@ -47,8 +47,14 @@ def test_summarize_runs_one_parity_traversal(traversals):
 
 def test_metrics_runs_one_profile_and_the_cycle_bound(traversals, capsys):
     assert cli.main(["metrics", "F:30,5"]) == 0
-    # The cycle bound checks connectivity and builds no all-pairs table.
-    assert sorted(traversals) == sorted([PROFILE, ("is_connected", "l_o_bound")])
+    # The cycle bound builds no all-pairs table, and the first cycle's
+    # unlimited search shows that the graph is connected.
+    assert traversals == [PROFILE]
+
+
+def test_cycle_bound_checks_connectivity_only_with_no_odd_cycle(traversals, capsys):
+    assert cli.main(["metrics", "path:30"]) == 0
+    assert traversals == [PROFILE, ("is_connected", "l_o_bound")]
 
 
 @pytest.mark.parametrize(
@@ -61,7 +67,17 @@ def test_predict_runs_one_profile_per_factor(traversals, capsys, pair):
 
 def test_parity_extremal_check_runs_one_parity_traversal(traversals):
     assert claims.REGISTRY["Lem2.6"].check((make_cycle(5),)) is None
-    assert [name for name, _ in traversals] == ["parity_distances"]
+    assert traversals == [PROFILE]
+
+
+@pytest.mark.parametrize(
+    "pair", [(make_complete(3, with_loops=True), make_complete(2, with_loops=True)),
+             (make_cycle(5), make_cycle(3))]
+)
+def test_k_plus_check_runs_no_traversal_of_its_factors(traversals, pair):
+    assert claims.REGISTRY["Thm3.4"].check(pair) is None
+    # Only the brute force runs: one BFS over the built product.
+    assert traversals == [("distance_matrix", "diameter")]
 
 
 @pytest.mark.parametrize(

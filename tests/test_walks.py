@@ -27,8 +27,9 @@ from kronwalk import (
     parity_distances,
     summarize,
 )
+from kronwalk.walks import eccentricity
 
-from helpers import graphs, walk_profile, walk_reach
+from helpers import dp_distances, graphs, walk_profile, walk_reach
 
 
 def test_dp_oracle_on_triangle():
@@ -125,6 +126,24 @@ def test_distance_and_diameter():
     two_edges = Graph(4, [(0, 1), (2, 3)])
     assert diameter(two_edges) == INF
     assert not is_connected(two_edges)
+
+
+def test_eccentricity_matches_walk_enumeration_exhaustive():
+    small = (
+        g
+        for loops, top in ((False, 5), (True, 4))
+        for n in range(1, top + 1)
+        for g in enumerate_graphs(n, allow_loops=loops)
+    )
+    for g in small:
+        n = g.order
+        dist = dp_distances(g)
+        for mask in range(1, 1 << n):
+            sources = [s for s in range(n) if mask >> s & 1]
+            ecc = max(min(dist[s][v] for s in sources) for v in range(n))
+            for limit in (1, 2, 3, INF):
+                expected = ecc if ecc < limit else None
+                assert eccentricity(g, sources, limit) == expected, (g, sources, limit)
 
 
 def test_bipartite_and_odd_girth():
@@ -274,7 +293,7 @@ def test_profile_matches_independent_routes(g):
 
 @pytest.mark.parametrize("table", [parity_distances, distance_matrix, summarize])
 def test_all_pairs_tables_refuse_above_the_table_limit(monkeypatch, table):
-    # Under a small limit, and with the BFS queue and the level scan refusing
+    # Under a small limit, and with the BFS and the level scan refusing
     # to start, each table must refuse the order before it runs a single step.
     monkeypatch.setattr(graphs_module, "MAX_TABLE_ORDER", 5)
     table(make_path(5))
@@ -282,7 +301,7 @@ def test_all_pairs_tables_refuse_above_the_table_limit(monkeypatch, table):
     def no_traversal(*args):
         raise AssertionError("a traversal started for an oversized table")
 
-    monkeypatch.setattr(walks_module, "deque", no_traversal)
+    monkeypatch.setattr(walks_module, "_bfs_levels", no_traversal)
     monkeypatch.setattr(walks_module, "_levels", no_traversal)
     with pytest.raises(ValueError, match="all-pairs table limit of 5"):
         table(make_path(6))
