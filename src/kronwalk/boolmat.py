@@ -9,14 +9,13 @@ selected rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .extlen import INF, ExtLen
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class BoolMatrix:
+class BoolMatrix(NamedTuple):
     """Square 0/1 matrix; row ``i`` holds bit ``j`` for entry ``(i, j)``."""
 
     dim: int

@@ -23,7 +23,7 @@ import sys
 from typing import Sequence
 
 from .cycles import DEFAULT_CYCLE_CAP, l_o_bound
-from .edgelist import read_graph, write_graph
+from .edgelist import graph_to_json, read_graph, write_graph
 from .extlen import to_json
 from .graphs import (
     ENUM_CAP_LOOPED,
@@ -41,7 +41,6 @@ from .harness import (
     EnsembleSpec,
     counterexample_to_json,
     get_claim,
-    graph_to_json,
     minimize_counterexample,
     run_campaign,
 )

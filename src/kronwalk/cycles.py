@@ -20,7 +20,7 @@ connected.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .extlen import INF, ExtLen
 from .graphs import Graph
@@ -32,8 +32,7 @@ OddCycle = tuple[int, ...]
 Neighbors = Callable[[int], Sequence[int]]
 
 
-@dataclass(frozen=True)
-class CycleBoundReport:
+class CycleBoundReport(NamedTuple):
     """Minimum cycle bound; an upper bound only when ``exact`` is False."""
 
     l_o: ExtLen

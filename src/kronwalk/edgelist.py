@@ -5,6 +5,9 @@ Every following non-empty line that does not start with ``#`` is ``u v``
 with 0-based vertex indices; ``u u`` denotes a loop.  Each undirected edge
 must appear exactly once, so a repeated edge (in either orientation) is an
 error.
+
+:func:`graph_to_json` gives the JSON form, ``{"order": n, "edges": [[u, v],
+...]}``, that ``generate`` prints and counterexamples carry.
 """
 
 from __future__ import annotations
@@ -67,3 +70,7 @@ def read_graph(path: str | os.PathLike[str]) -> Graph:
 def write_graph(path: str | os.PathLike[str], g: Graph) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(format_edge_list(g))
+
+
+def graph_to_json(g: Graph) -> dict:
+    return {"order": g.order, "edges": [list(edge) for edge in g.edges()]}

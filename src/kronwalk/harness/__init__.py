@@ -1,10 +1,10 @@
 """Verification harness: claim checkers, ensembles, and campaign driver."""
 
+from ..edgelist import graph_to_json
 from .campaign import (
     CheckOutcome,
     counterexample_to_json,
     get_claim,
-    graph_to_json,
     minimize_counterexample,
     run_campaign,
 )

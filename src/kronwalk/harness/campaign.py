@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
+from ..edgelist import graph_to_json
 from ..extlen import to_json
-from ..graphs import Graph
 from .claims import CLAIM_IDS, REGISTRY, Claim, Failure, Instance
 from .ensembles import EnsembleSpec
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """A claim's run: ``counterexample`` is its first failing instance."""
 
     claim_id: str
@@ -90,10 +88,6 @@ def minimize_counterexample(claim: Claim, instance: Instance) -> Instance:
         if smaller is None:
             return instance
         instance = smaller
-
-
-def graph_to_json(g: Graph) -> dict:
-    return {"order": g.order, "edges": [list(edge) for edge in g.edges()]}
 
 
 def counterexample_to_json(graphs: Instance, failure: Failure) -> dict:

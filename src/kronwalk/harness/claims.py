@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ..boolmat import adjacency, bool_mul
 from ..extlen import ExtLen, is_finite
@@ -67,13 +67,14 @@ from .ensembles import (
 Instance = tuple[Graph, ...]
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     expected: object
     actual: object
     detail: str
 
 
+# A dataclass, not a named tuple: the benchmark's tracer swaps in traced
+# ``check`` and ``instances`` callables through ``dataclasses.replace``.
 @dataclass(frozen=True)
 class Claim:
     claim_id: str

@@ -8,8 +8,7 @@ the same instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..graphs import Graph, enumerate_graphs, random_graph
 from ..walks import is_connected
@@ -19,8 +18,7 @@ RANDOM_ORDER = 6  # largest random graph, in most claims
 RANDOM_SINGLE_ORDER = 8  # largest random graph in the cycle-bound claim
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(NamedTuple):
     """Cap for exhaustive sweeps and count for randomized ones."""
 
     exhaustive_order: int = 4  # labeled graphs with loops up to this order

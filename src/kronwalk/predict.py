@@ -17,8 +17,7 @@ case by comparing the two factor exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .extlen import INF, ExtLen, is_finite
 from .graphs import Graph
@@ -31,14 +30,12 @@ CASE_DISCONNECTED = "Disconnected"
 CASE_ORDER_ONE = "OrderOneFactor"
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     lower: ExtLen
     upper: ExtLen
 
 
-@dataclass(frozen=True)
-class DiameterPrediction:
+class DiameterPrediction(NamedTuple):
     value: ExtLen
     case: str
     bounds: Bounds | None

@@ -28,18 +28,18 @@ stream, and builds no n x n table:
 shortest odd and shortest positive even walk lengths.
 
 Every plain BFS reads one generator, ``_bfs_levels``, of the vertices at
-each distance from a set of sources: :func:`distance_matrix` (behind
+each distance from a set of sources: :func:`distance_matrix`,
+:func:`eccentricity` (the odd-cycle bound's scorer, and behind
 :func:`diameter`, the ground truth on every built product),
-:func:`eccentricity` (the odd-cycle bound's scorer), :func:`is_connected`
-and :func:`is_bipartite`.
+:func:`is_connected` and :func:`is_bipartite`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import and_, or_, xor
+from typing import NamedTuple
 
 from .extlen import INF, ExtLen
 from .graphs import Graph, check_table_order
@@ -48,8 +48,7 @@ Matrix = tuple[tuple[ExtLen, ...], ...]
 Level = list[int]
 
 
-@dataclass(frozen=True)
-class ParityProfile:
+class ParityProfile(NamedTuple):
     """Whole-graph facts read off one parity scan.
 
     ``bipartite`` holds iff no vertex has an odd closed walk.  The odd and
@@ -80,16 +79,14 @@ class ParityProfile:
         return self.exponent == 1
 
 
-@dataclass(frozen=True)
-class ParityDistances:
+class ParityDistances(NamedTuple):
     """Shortest odd and shortest positive even walk lengths per ordered pair."""
 
     odd: Matrix
     even: Matrix
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(NamedTuple):
     """Global exponent and the first pair attaining it."""
 
     gamma: ExtLen
@@ -237,8 +234,19 @@ def distance_matrix(g: Graph) -> Matrix:
 
 
 def diameter(g: Graph) -> ExtLen:
-    """Largest pairwise distance; INF iff the graph is disconnected."""
-    return max(max(row) for row in distance_matrix(g))
+    """Largest pairwise distance; INF iff the graph is disconnected.
+
+    One BFS per source keeps only its eccentricity, so no n x n table is
+    built; the all-pairs size guard still bounds the n searches.
+    """
+    check_table_order(g.order)
+    worst = 0
+    for source in range(g.order):
+        ecc = eccentricity(g, (source,))
+        if ecc is None:
+            return INF
+        worst = max(worst, ecc)
+    return worst
 
 
 def eccentricity(g: Graph, sources: Iterable[int], limit: ExtLen = INF) -> int | None:

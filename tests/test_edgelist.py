@@ -9,6 +9,8 @@ from kronwalk import (
     read_graph,
     write_graph,
 )
+from kronwalk import harness
+from kronwalk.edgelist import graph_to_json
 
 from helpers import graphs
 
@@ -18,6 +20,12 @@ def test_format_round_trip_explicit():
     text = format_edge_list(g)
     assert text == "n 3\n0 0\n0 2\n1 2\n"
     assert parse_edge_list(text) == g
+
+
+def test_json_form_lists_the_edges_once():
+    g = Graph(3, [(0, 0), (0, 2), (1, 2)])
+    assert graph_to_json(g) == {"order": 3, "edges": [[0, 0], [0, 2], [1, 2]]}
+    assert harness.graph_to_json is graph_to_json
 
 
 @given(graphs(max_order=7))

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from pathlib import Path
 
@@ -122,7 +121,7 @@ def _off_by_one(field):
     def mutate(real):
         def wrong(g):
             value = real(g)
-            return dataclasses.replace(value, **{field: getattr(value, field) + 1})
+            return value._replace(**{field: getattr(value, field) + 1})
 
         return wrong
 
@@ -137,8 +136,7 @@ def _shifted_spans(odd, even):
     def mutate(real):
         def wrong(g):
             s = real(g)
-            return dataclasses.replace(
-                s,
+            return s._replace(
                 odd_diameter=s.odd_diameter + odd,
                 even_diameter=s.even_diameter + even,
             )

@@ -18,9 +18,11 @@ from kronwalk import make_complete, make_cycle, summarize
 from kronwalk.harness import with_all_loops
 
 TRAVERSALS = (
-    "profile_of", "parity_distances", "distance_matrix", "is_connected", "is_bipartite"
+    "profile_of", "parity_distances", "distance_matrix", "diameter", "is_connected",
+    "is_bipartite",
 )
 PROFILE = ("profile_of", "summarize")
+BRUTE_FORCE = ("diameter", "_product_diameter")
 
 
 @pytest.fixture
@@ -76,8 +78,8 @@ def test_parity_extremal_check_runs_one_parity_traversal(traversals):
 )
 def test_k_plus_check_runs_no_traversal_of_its_factors(traversals, pair):
     assert claims.REGISTRY["Thm3.4"].check(pair) is None
-    # Only the brute force runs: one BFS over the built product.
-    assert traversals == [("distance_matrix", "diameter")]
+    # Only the brute force runs: one BFS per source of the built product.
+    assert traversals == [BRUTE_FORCE]
 
 
 @pytest.mark.parametrize(
@@ -119,7 +121,7 @@ def test_all_loops_closed_form_runs_one_profile_per_factor(traversals):
     pair = (make_complete(3, with_loops=True), with_all_loops(make_cycle(5)))
     assert claims.REGISTRY["CorLoops"].check(pair) is None
     # One profile per factor for the closed form, one BFS over the product.
-    assert sorted(traversals) == sorted([PROFILE, PROFILE, ("distance_matrix", "diameter")])
+    assert sorted(traversals) == sorted([PROFILE, PROFILE, BRUTE_FORCE])
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,13 @@ def test_distance_and_diameter():
     assert not is_connected(two_edges)
 
 
+@given(graphs(max_order=8))
+@settings(max_examples=150, deadline=None)
+def test_diameter_is_the_largest_entry_of_the_distance_table(g):
+    # Random masks leave many of these graphs disconnected.
+    assert diameter(g) == max(map(max, distance_matrix(g)))
+
+
 def test_eccentricity_matches_walk_enumeration_exhaustive():
     small = (
         g
@@ -291,7 +298,9 @@ def test_profile_matches_independent_routes(g):
     _assert_profile_matches_independent_routes(g)
 
 
-@pytest.mark.parametrize("table", [parity_distances, distance_matrix, summarize])
+@pytest.mark.parametrize(
+    "table", [parity_distances, distance_matrix, diameter, summarize]
+)
 def test_all_pairs_tables_refuse_above_the_table_limit(monkeypatch, table):
     # Under a small limit, and with the BFS and the level scan refusing
     # to start, each table must refuse the order before it runs a single step.
