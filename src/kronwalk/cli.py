@@ -193,9 +193,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for claim_id in claim_ids:
         get_claim(claim_id)  # fail fast on unknown ids
     ensemble = EnsembleSpec(exhaustive_order=args.exhaustive, random_count=args.random)
+    outcomes = run_campaign(claim_ids, ensemble, args.seed)
+    # A claim that checked nothing has shown nothing, so it cannot pass.
+    unchecked = [o.claim_id for o in outcomes if not o.instances_checked]
+    if unchecked:
+        raise ValueError(
+            f"--exhaustive {args.exhaustive} --random {args.random} gives no "
+            f"instance to {', '.join(unchecked)}"
+        )
     results = []
     failed = False
-    for outcome in run_campaign(claim_ids, ensemble, args.seed):
+    for outcome in outcomes:
         entry = {
             "claim_id": outcome.claim_id,
             "description": get_claim(outcome.claim_id).description,

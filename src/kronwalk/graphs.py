@@ -27,11 +27,12 @@ MAX_ORDER = 100_000
 MAX_EDGES = 1_000_000
 # Largest order of a graph given an all-pairs table or a parity scan.  A
 # table costs about 50 bytes per vertex pair, so 3,000 vertices need about
-# 450 MB; only `diameter` and the verify checkers build one.  The scan behind
-# `summarize`, which `metrics`, `predict` and `product` run, builds no table,
-# so for it the limit bounds time instead: the scan runs about as many levels
-# as the exponent or the diameter, and on a 2-vCPU host `path:3000` takes
-# about 4-6 s and `F:3000,5` about 8 s.
+# 450 MB; only the verify checkers build one.  The reach scan behind
+# `diameter` keeps two levels of n-bit rows, about 2 MB at this limit.  The
+# scan behind `summarize`, which `metrics`, `predict` and `product` run,
+# builds no table, so for it the limit bounds time instead: the scan runs
+# about as many levels as the exponent or the diameter, and on a 2-vCPU host
+# `path:3000` takes about 4-6 s and `F:3000,5` about 8 s.
 MAX_TABLE_ORDER = 3_000
 
 
@@ -72,6 +73,17 @@ class Graph:
             adjacency[v].add(u)
         self._neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
 
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> Graph:
+        """The graph with these neighbour tuples, taken as they are.
+
+        For builders whose rows are sorted, duplicate-free and symmetric by
+        construction; ``validate`` re-checks that.
+        """
+        g = cls.__new__(cls)
+        g._neighbors = rows
+        return g
+
     @property
     def order(self) -> int:
         return len(self._neighbors)
@@ -103,7 +115,8 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(1 for _ in self.edges())
+        # A loop appears once in its row, and any other edge once in each of two.
+        return (sum(map(len, self._neighbors)) + sum(self.loop_flags)) // 2
 
     def remove_vertex(self, v: int) -> Graph:
         """New graph without ``v``; higher labels shift down by one."""

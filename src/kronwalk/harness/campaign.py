@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 
 from ..edgelist import graph_to_json
 from ..extlen import to_json
-from .claims import CLAIM_IDS, REGISTRY, Claim, Failure, Instance
+from .claims import CLAIM_IDS, REGISTRY, Claim, Failure, Instance, memo_profiles
 from .ensembles import EnsembleSpec
 
 
@@ -46,11 +46,14 @@ def run_campaign(
         start = time.perf_counter()
         checked = 0
         counterexample = None
-        for instance in claim.instances(ensemble, rng):
-            checked += 1
-            if claim.check(instance) is not None:
-                counterexample = instance
-                break
+        # The pair pools reuse each factor many times; a fresh memo per claim
+        # profiles it once, and a check run outside a campaign computes afresh.
+        with memo_profiles():
+            for instance in claim.instances(ensemble, rng):
+                checked += 1
+                if claim.check(instance) is not None:
+                    counterexample = instance
+                    break
         outcomes.append(
             CheckOutcome(
                 claim_id=claim_id,

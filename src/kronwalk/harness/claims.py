@@ -15,12 +15,18 @@ the explicitly constructed product (:func:`_product_diameter`,
 hypotheses are its predictor's refusals: the harness does not check them
 again, and a ``ValueError`` from the predictor puts the instance outside the
 claim.
+
+The pair checkers read the profile and the parity tables of each factor
+through a memo that :func:`run_campaign` opens for each claim
+(:func:`memo_profiles`), so a pair pool profiles each of its graphs once; a
+check called on its own computes afresh.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -47,6 +53,8 @@ from ..predict import (
     summarize,
 )
 from ..walks import (
+    ParityDistances,
+    ParityProfile,
     diameter,
     distance_matrix,
     exponent,
@@ -121,6 +129,43 @@ def _closed_form_claim(claim_id: str, description: str, instances, truth) -> Cal
         return closed_form
 
     return register
+
+
+# The live memo of ``_summarize`` and ``_parity_distances``, keyed by route
+# and graph; None outside ``memo_profiles``.
+_memo: dict[tuple[Callable, Graph], object] | None = None
+
+
+@contextmanager
+def memo_profiles() -> Iterator[None]:
+    """Within the block, ``_summarize`` and ``_parity_distances`` run once per graph."""
+    global _memo
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _recall(route: Callable, g: Graph):
+    if _memo is None:
+        return route(g)
+    key = (route, g)
+    if key not in _memo:
+        _memo[key] = route(g)
+    return _memo[key]
+
+
+# The factors of a pair instance recur across a pool's pairs, so the pair
+# checkers read them through the memo; a single-graph checker reads its graph
+# once and calls the route directly.  Each reads the name this module binds at
+# call time, so a route swapped in for a mutant check is the one that runs.
+def _summarize(g: Graph) -> ParityProfile:
+    return _recall(summarize, g)
+
+
+def _parity_distances(g: Graph) -> ParityDistances:
+    return _recall(parity_distances, g)
 
 
 def _product_diameter(g1: Graph, g2: Graph) -> ExtLen:
@@ -251,7 +296,7 @@ def _bipartite_pool() -> list[Graph]:
     lambda g1, g2: exponent(kronecker_product(g1, g2)).gamma,
 )
 def _larger_exponent(g1: Graph, g2: Graph) -> ExtLen | None:
-    gamma = max(summarize(g1).exponent, summarize(g2).exponent)
+    gamma = max(_summarize(g1).exponent, _summarize(g2).exponent)
     return gamma if is_finite(gamma) else None  # None: a factor is not primitive
 
 
@@ -314,7 +359,7 @@ _closed_form_claim(
 )
 def _check_walk_combination(instance: Instance) -> Failure | None:
     g1, g2 = instance
-    pd1, pd2 = parity_distances(g1), parity_distances(g2)
+    pd1, pd2 = _parity_distances(g1), _parity_distances(g2)
     pdp = parity_distances(kronecker_product(g1, g2))
     n2 = g2.order
     for x1 in range(g1.order):
@@ -365,7 +410,7 @@ def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
 )
 def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
     g1, g2 = instance
-    pd1, pd2 = parity_distances(g1), parity_distances(g2)
+    pd1, pd2 = _parity_distances(g1), _parity_distances(g2)
     if not all(is_finite(max(map(max, pd.odd + pd.even))) for pd in (pd1, pd2)):
         return None  # a factor is not primitive
     dist = distance_matrix(kronecker_product(g1, g2))
@@ -487,7 +532,7 @@ def _check_sandwich_bounds(instance: Instance) -> Failure | None:
     g1, g2 = instance
     if g1.order < 2 or g2.order < 2:
         return None  # predict prints no bounds
-    s1, s2 = summarize(g1), summarize(g2)
+    s1, s2 = _summarize(g1), _summarize(g2)
     d = _product_diameter(g1, g2)
     b = diameter_bounds(s1, s2)
     if not b.lower <= d <= b.upper:
@@ -512,7 +557,7 @@ def _check_sandwich_bounds(instance: Instance) -> Failure | None:
     _product_diameter,
 )
 def _main_formula(g1: Graph, g2: Graph) -> ExtLen:
-    return predict_diameter(summarize(g1), summarize(g2)).value
+    return predict_diameter(_summarize(g1), _summarize(g2)).value
 
 
 @_closed_form_claim(
@@ -543,7 +588,7 @@ def _both_k_plus(g1: Graph, g2: Graph) -> bool | None:
     _product_diameter,
 )
 def _k_plus_factor(g1: Graph, g2: Graph) -> ExtLen:
-    return predict_k_plus_factor(summarize(g1), summarize(g2)).value
+    return predict_k_plus_factor(_summarize(g1), _summarize(g2)).value
 
 
 _PART_LISTS = (
@@ -582,7 +627,7 @@ def _multipartite_factor(g: Graph, h: Graph) -> ExtLen | None:
     parts = complete_multipartite_parts(h)
     if parts is None:
         return None
-    return predict_multipartite_factor(summarize(g), parts).value
+    return predict_multipartite_factor(_summarize(g), parts).value
 
 
 def _hf_instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instance]:
@@ -600,7 +645,7 @@ def _hf_instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instance]:
     _product_diameter,
 )
 def _family_products(g: Graph, h: Graph) -> ExtLen:
-    return predict_family_product(summarize(g), summarize(h)).value
+    return predict_family_product(_summarize(g), _summarize(h)).value
 
 
 @_closed_form_claim(
@@ -665,7 +710,7 @@ def _cycle_products(g1: Graph, g2: Graph) -> ExtLen | None:
 )
 def _parity_route(g1: Graph, g2: Graph) -> ExtLen:
     # The route `product` prints as its measured diameter.
-    return product_diameter(summarize(g1), summarize(g2))
+    return product_diameter(_summarize(g1), _summarize(g2))
 
 
 CLAIM_IDS: tuple[str, ...] = tuple(REGISTRY)

@@ -5,7 +5,9 @@ vertex ``(a, b)`` is encoded row-major as ``a * n2 + b``.  Two product
 vertices are adjacent exactly when both coordinate pairs are adjacent in
 their factors, so each pair of factor edges contributes the two cross
 pairings (which coincide when a factor edge is a loop), and a product
-vertex carries a loop iff both coordinates do.
+vertex carries a loop iff both coordinates do.  The product is built row
+by row: the neighbours of ``(a, b)`` are the pairs of a neighbour of ``a``
+and a neighbour of ``b``.
 
 A product walk is a pair of factor walks of the same length, so the
 product's order, edge count and diameter follow from the factors alone:
@@ -25,12 +27,14 @@ def kronecker_product(g1: Graph, g2: Graph) -> Graph:
     check_order(g1.order * g2.order)
     check_edges(product_edge_count(g1, g2))
     n2 = g2.order
-    edges = []
-    for u1, v1 in g1.edges():
-        for u2, v2 in g2.edges():
-            edges.append((u1 * n2 + u2, v1 * n2 + v2))
-            edges.append((u1 * n2 + v2, v1 * n2 + u2))
-    return Graph(g1.order * n2, edges)
+    rows2 = [g2.neighbors(b) for b in range(n2)]
+    rows = []
+    for a in range(g1.order):
+        # Row (a, b) lists a2 * n2 + b2 over a2 in N(a), then b2 in N(b):
+        # sorted and duplicate-free, since every b2 is below n2.
+        offsets = [a2 * n2 for a2 in g1.neighbors(a)]
+        rows.extend(tuple([o + b2 for o in offsets for b2 in nb]) for nb in rows2)
+    return Graph._from_rows(tuple(rows))
 
 
 def product_edge_count(g1: Graph, g2: Graph) -> int:

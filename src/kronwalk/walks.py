@@ -27,16 +27,22 @@ stream, and builds no n x n table:
 :func:`parity_distances` expands the same levels into the tables of
 shortest odd and shortest positive even walk lengths.
 
-Every plain BFS reads one generator, ``_bfs_levels``, of the vertices at
-each distance from a set of sources: :func:`distance_matrix`,
-:func:`eccentricity` (the odd-cycle bound's scorer, and behind
-:func:`diameter`, the ground truth on every built product),
-:func:`is_connected` and :func:`is_bipartite`.
+:func:`diameter` and :func:`distance_matrix`, the ground truth on every
+built product, read a second all-sources scan, ``_reach``, which shares no
+code with the first: ``R_k[u]`` is the set of vertices within distance
+``k`` of ``u``.  The diameter is the first ``k`` at which every row is
+full, and the distances are the bits each step adds.
+
+Every BFS from one set of sources reads one generator, ``_bfs_levels``, of
+the vertices at each distance from the set: :func:`eccentricity`
+(the odd-cycle bound's scorer), :func:`is_connected` and
+:func:`is_bipartite`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import reduce
 from itertools import compress, count
 from operator import and_, or_, xor
 from typing import NamedTuple
@@ -219,34 +225,61 @@ def _bfs_levels(g: Graph, sources: Iterable[int]) -> Iterator[Level]:
         frontier = reached
 
 
+def _reach(g: Graph) -> Iterator[Level]:
+    """``R_0, R_1, ...``: ``R_k[u]`` is the set of vertices within distance ``k`` of ``u``.
+
+    ``R_0[u]`` is ``u`` alone, and ``R_{k+1}[u]`` is ``R_k[u]`` joined with
+    ``R_k[w]`` for every neighbour ``w`` of ``u``: every source at once,
+    one OR per edge end and step.  Ends at the first level with every row
+    full, or after the first step that adds nothing.
+    """
+    n = g.order
+    full = (1 << n) - 1
+    rows = [1 << u for u in range(n)]
+    neighbors = [g.neighbors(u) for u in range(n)]
+    while True:
+        yield rows
+        if rows.count(full) == n:
+            return
+        get = rows.__getitem__
+        step = [reduce(or_, map(get, nbrs), row) for row, nbrs in zip(rows, neighbors)]
+        if step == rows:
+            return
+        rows = step
+
+
 def distance_matrix(g: Graph) -> Matrix:
-    """All-pairs graph distances by BFS; INF marks unreachable pairs."""
+    """All-pairs graph distances; INF marks unreachable pairs.
+
+    The entries of a row at distance ``k`` are the bits that ``R_k`` adds.
+    """
     check_table_order(g.order)
     n = g.order
-    rows = []
-    for source in range(n):
-        dist: list[ExtLen] = [INF] * n
-        for depth, level in enumerate(_bfs_levels(g, (source,))):
-            for v in level:
-                dist[v] = depth
-        rows.append(tuple(dist))
-    return tuple(rows)
+    dist = [[INF] * n for _ in range(n)]
+    before = [0] * n
+    for k, rows in enumerate(_reach(g)):
+        fresh = list(map(xor, rows, before))
+        for row, bits in compress(zip(dist, fresh), fresh):
+            while bits:
+                v = bits.bit_length() - 1
+                row[v] = k
+                bits ^= 1 << v
+        before = rows
+    return tuple(map(tuple, dist))
 
 
 def diameter(g: Graph) -> ExtLen:
     """Largest pairwise distance; INF iff the graph is disconnected.
 
-    One BFS per source keeps only its eccentricity, so no n x n table is
-    built; the all-pairs size guard still bounds the n searches.
+    The first ``k`` at which every reach row is full; no n x n table is
+    built, and the all-pairs size guard bounds the n-bit rows.
     """
     check_table_order(g.order)
-    worst = 0
-    for source in range(g.order):
-        ecc = eccentricity(g, (source,))
-        if ecc is None:
-            return INF
-        worst = max(worst, ecc)
-    return worst
+    full = (1 << g.order) - 1
+    for k, rows in enumerate(_reach(g)):
+        if rows.count(full) == len(rows):
+            return k
+    return INF
 
 
 def eccentricity(g: Graph, sources: Iterable[int], limit: ExtLen = INF) -> int | None:

@@ -13,10 +13,11 @@ the bound itself runs.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 from hypothesis import strategies as st
 
-from kronwalk import INF, Graph, is_connected, random_graph
+from kronwalk import INF, Graph, enumerate_graphs, is_connected, random_graph
 
 ACCEPT_SEED = 7
 
@@ -135,6 +136,13 @@ def brute_l_o_bound(g: Graph, cap: int) -> tuple:
     best = min(values, default=INF)
     best_cycle = kept[values.index(best)] if values else None
     return best, best_cycle, len(cycles) <= cap, len(kept)
+
+
+def labeled_graphs(min_order: int = 1) -> Iterator[Graph]:
+    """Every labeled graph up to the enumeration caps: order 5 loopless, 4 looped."""
+    for loops, top in ((False, 5), (True, 4)):
+        for n in range(min_order, top + 1):
+            yield from enumerate_graphs(n, allow_loops=loops)
 
 
 @st.composite

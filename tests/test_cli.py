@@ -237,6 +237,28 @@ def test_verify_runs_a_repeated_claim_once(capsys):
     assert [c["claim_id"] for c in json.loads(out)["claims"]] == ["CorCycles"]
 
 
+def test_verify_refuses_an_ensemble_that_leaves_a_claim_unchecked(capsys):
+    # The pair pools start at order 2, so order 1 with no random draw gives
+    # the pair claims nothing to check.
+    code, out, err = run_cli(capsys, "verify", "--exhaustive", "1", "--random", "0")
+    assert code == 1
+    assert out == ""
+    named = err.strip().partition("gives no instance to ")[2].split(", ")
+    assert named == [
+        "Prop1.1", "Lem2.4", "Lem2.5", "Lem2.7", "Thm3.2", "Thm3.4", "Thm3.5",
+        "ThmMultipartite", "CorLoops", "ParityRoute",
+    ]
+
+
+def test_verify_passes_a_claim_with_fixed_instances_at_the_smallest_ensemble(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--claims", "CorCycles", "--exhaustive", "1", "--random", "0"
+    )
+    assert code == 0
+    (entry,) = json.loads(out)["claims"]
+    assert entry["pass"] and entry["instances_checked"] > 0
+
+
 def test_verify_unknown_claim(capsys):
     code, out, err = run_cli(capsys, "verify", "--claims", "nope")
     assert code == 1

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from kronwalk import (
     INF,
     Graph,
-    enumerate_graphs,
     enumerate_odd_cycles,
     exponent,
     is_connected,
@@ -20,7 +19,13 @@ from kronwalk import (
 )
 from kronwalk.cycles import DEFAULT_CYCLE_CAP
 
-from helpers import brute_l_o_bound, brute_odd_cycles, dp_distances, graphs
+from helpers import (
+    brute_l_o_bound,
+    brute_odd_cycles,
+    dp_distances,
+    graphs,
+    labeled_graphs,
+)
 
 
 def test_enumeration_examples():
@@ -147,9 +152,7 @@ def test_bound_refuses_every_disconnected_graph(monkeypatch):
 
     disconnected = [
         g
-        for loops, top in ((False, 5), (True, 4))
-        for n in range(2, top + 1)
-        for g in enumerate_graphs(n, allow_loops=loops)
+        for g in labeled_graphs(min_order=2)
         if INF in dp_distances(g)[0]
     ]
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -176,9 +179,7 @@ def _ensemble():
     # branches for the 2-core peel), and the named families.
     small = [
         g
-        for loops, top in ((False, 5), (True, 4))
-        for n in range(1, top + 1)
-        for g in enumerate_graphs(n, allow_loops=loops)
+        for g in labeled_graphs()
         if is_connected(g)
     ]
     rng = random.Random(11)

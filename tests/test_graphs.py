@@ -16,7 +16,7 @@ from kronwalk import (
 import kronwalk.graphs as graphs_module
 from kronwalk.walks import is_bipartite, is_connected
 
-from helpers import graphs
+from helpers import graphs, labeled_graphs
 
 
 def test_order_must_be_positive():
@@ -192,6 +192,11 @@ def test_construction_invariants(g):
     g.validate()
     for u, v in g.edges():
         assert g.has_edge(u, v) and g.has_edge(v, u)
+
+
+def test_edge_count_reads_the_rows():
+    for g in labeled_graphs():
+        assert g.edge_count == sum(1 for _ in g.edges()), g
 
 
 def test_random_graph_extremes():

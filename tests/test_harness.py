@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ from kronwalk.harness.claims import (
     are_isomorphic,
     complete_multipartite_parts,
 )
+
+from helpers import labeled_graphs
 
 SMALL = EnsembleSpec(exhaustive_order=3, random_count=20)
 
@@ -93,6 +96,26 @@ def test_campaign_is_deterministic():
     # instances
     alone = run_campaign(["Prop1.1"], SMALL, seed=9)
     assert alone[0].instances_checked == first[1].instances_checked
+
+
+def test_campaign_profiles_each_factor_once_per_claim(monkeypatch):
+    seen = []
+    real = claims.summarize
+
+    def counted(g):
+        seen.append(g)
+        return real(g)
+
+    monkeypatch.setattr(claims, "summarize", counted)
+    run_campaign(["Thm3.3"], SMALL, seed=0)
+    assert seen and len(seen) == len(set(seen))
+    # Each claim starts a fresh memo, so a second run profiles every factor again.
+    run_campaign(["Thm3.3"], SMALL, seed=0)
+    assert Counter(seen) == Counter({g: 2 for g in seen})
+    # A check outside a campaign computes afresh.
+    g = seen[0]
+    REGISTRY["Thm3.3"].check((g, g))
+    assert Counter(seen)[g] == 4
 
 
 def test_sandwich_claim_checks_the_shipped_bounds(monkeypatch):
@@ -362,8 +385,6 @@ def _set_partitions(n):
 
 
 def test_complete_multipartite_recognizer_on_all_small_graphs():
-    from kronwalk import enumerate_graphs
-
     expected = {}
     for n in range(1, 6):
         for blocks in _set_partitions(n):
@@ -371,12 +392,7 @@ def test_complete_multipartite_recognizer_on_all_small_graphs():
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
             expected[Graph(n, edges)] = [len(block) for block in blocks]
     assert len(expected) == 1 + 2 + 5 + 15 + 52
-    small = [
-        g
-        for loops, top in ((False, 5), (True, 4))
-        for n in range(1, top + 1)
-        for g in enumerate_graphs(n, allow_loops=loops)
-    ]
+    small = list(labeled_graphs())
     assert set(expected) <= set(small)
     for g in small:
         assert complete_multipartite_parts(g) == expected.get(g)

@@ -25,6 +25,25 @@ import kronwalk.graphs as graphs_module
 from helpers import graphs
 
 
+def _edge_pair_product(g1, g2):
+    """The product by its definition: both cross pairings of every two factor edges."""
+    n2 = g2.order
+    pairs = []
+    for u1, v1 in g1.edges():
+        for u2, v2 in g2.edges():
+            pairs.append((u1 * n2 + u2, v1 * n2 + v2))
+            pairs.append((u1 * n2 + v2, v1 * n2 + u2))
+    return Graph(g1.order * n2, pairs)
+
+
+def _assert_product_matches_definition(g1, g2):
+    p = kronecker_product(g1, g2)
+    expected = _edge_pair_product(g1, g2)
+    assert p == expected
+    assert hash(p) == hash(expected)
+    p.validate()
+
+
 def test_vertex_encoding_round_trip():
     # vertex (a, b) of the product is a * n2 + b: the lone product loop of
     # a loop at 2 (of 3) and a loop at 1 (of 3) sits at 7
@@ -77,6 +96,20 @@ def test_product_loops_need_both_loops():
     loops = [v for v in range(4) if p.has_loop(v)]
     # only (0, 1): coordinate 0 is looped in g1, coordinate 1 in g2
     assert loops == [0 * 2 + 1]
+
+
+def test_row_built_product_matches_the_definition_exhaustive():
+    # Order-one and edgeless factors included.
+    pool = [g for n in (1, 2, 3) for g in enumerate_graphs(n, allow_loops=True)]
+    for g1 in pool:
+        for g2 in pool:
+            _assert_product_matches_definition(g1, g2)
+
+
+@given(graphs(max_order=6), graphs(max_order=6))
+@settings(max_examples=150, deadline=None)
+def test_row_built_product_matches_the_definition(g1, g2):
+    _assert_product_matches_definition(g1, g2)
 
 
 @given(graphs(max_order=5, loops=False), graphs(max_order=5, loops=False))

@@ -7,6 +7,10 @@ import ``walks``.  Likewise ``product_diameter`` (in ``kronecker``) checks the
 closed forms (in ``predict``) from the same factor profiles, so ``kronecker``
 may not import ``predict``.  Imports are read from the syntax tree, so an
 import inside a function counts too.
+
+Within ``walks``, the reach scan behind ``diameter`` and ``distance_matrix``
+is the ground truth on every built product, which the parity level scan
+behind the profiles is checked against, so neither scan names the other.
 """
 
 import ast
@@ -50,3 +54,29 @@ def test_kronecker_never_imports_predict():
 def test_the_reader_sees_relative_imports():
     assert {"extlen", "graphs"} <= _imported_modules("walks")
     assert "walks" in _imported_modules("kronecker")
+
+
+def _names_in_function(module: str, function: str) -> set[str]:
+    """Every name and attribute that ``kronwalk.<module>.<function>`` mentions."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    (node,) = [
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function
+    ]
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize("function", ["diameter", "distance_matrix", "_reach"])
+def test_distances_never_read_the_parity_scan(function):
+    names = _names_in_function("walks", function)
+    assert not names & {"_levels", "profile_of", "parity_distances"}
+
+
+def test_parity_scan_never_reads_the_reach_scan():
+    assert "_reach" not in _names_in_function("walks", "_levels")
+
+
+def test_the_reader_sees_each_scan_where_it_runs():
+    assert "_reach" in _names_in_function("walks", "diameter")
+    assert "_levels" in _names_in_function("walks", "profile_of")

@@ -78,7 +78,7 @@ def test_parity_extremal_check_runs_one_parity_traversal(traversals):
 )
 def test_k_plus_check_runs_no_traversal_of_its_factors(traversals, pair):
     assert claims.REGISTRY["Thm3.4"].check(pair) is None
-    # Only the brute force runs: one BFS per source of the built product.
+    # Only the brute force runs: one reach scan over the built product.
     assert traversals == [BRUTE_FORCE]
 
 

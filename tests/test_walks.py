@@ -29,7 +29,7 @@ from kronwalk import (
 )
 from kronwalk.walks import eccentricity
 
-from helpers import dp_distances, graphs, walk_profile, walk_reach
+from helpers import dp_distances, graphs, labeled_graphs, walk_profile, walk_reach
 
 
 def test_dp_oracle_on_triangle():
@@ -135,14 +135,26 @@ def test_diameter_is_the_largest_entry_of_the_distance_table(g):
     assert diameter(g) == max(map(max, distance_matrix(g)))
 
 
+def _assert_distances_match_walk_enumeration(g):
+    dist = dp_distances(g)
+    assert distance_matrix(g) == tuple(map(tuple, dist))
+    assert diameter(g) == max(map(max, dist))
+
+
+def test_reach_scan_matches_walk_enumeration_exhaustive():
+    for g in labeled_graphs():
+        _assert_distances_match_walk_enumeration(g)
+
+
+@given(graphs(max_order=8))
+@settings(max_examples=150, deadline=None)
+def test_reach_scan_matches_walk_enumeration(g):
+    # Random masks leave many of these graphs disconnected.
+    _assert_distances_match_walk_enumeration(g)
+
+
 def test_eccentricity_matches_walk_enumeration_exhaustive():
-    small = (
-        g
-        for loops, top in ((False, 5), (True, 4))
-        for n in range(1, top + 1)
-        for g in enumerate_graphs(n, allow_loops=loops)
-    )
-    for g in small:
+    for g in labeled_graphs():
         n = g.order
         dist = dp_distances(g)
         for mask in range(1, 1 << n):
@@ -302,15 +314,16 @@ def test_profile_matches_independent_routes(g):
     "table", [parity_distances, distance_matrix, diameter, summarize]
 )
 def test_all_pairs_tables_refuse_above_the_table_limit(monkeypatch, table):
-    # Under a small limit, and with the BFS and the level scan refusing
-    # to start, each table must refuse the order before it runs a single step.
+    # Under a small limit, and with the reach scan and the level scan
+    # refusing to start, each table must refuse the order before it runs a
+    # single step.
     monkeypatch.setattr(graphs_module, "MAX_TABLE_ORDER", 5)
     table(make_path(5))
 
     def no_traversal(*args):
         raise AssertionError("a traversal started for an oversized table")
 
-    monkeypatch.setattr(walks_module, "_bfs_levels", no_traversal)
+    monkeypatch.setattr(walks_module, "_reach", no_traversal)
     monkeypatch.setattr(walks_module, "_levels", no_traversal)
     with pytest.raises(ValueError, match="all-pairs table limit of 5"):
         table(make_path(6))
