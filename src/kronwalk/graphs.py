@@ -32,7 +32,7 @@ MAX_EDGES = 1_000_000
 # scan behind `summarize`, which `metrics`, `predict` and `product` run,
 # builds no table, so for it the limit bounds time instead: the scan runs
 # about as many levels as the exponent or the diameter, and on a 2-vCPU host
-# `path:3000` takes about 4-6 s and `F:3000,5` about 8 s.
+# `path:3000` takes about 2-3 s and `F:3000,5` about 3-4 s.
 MAX_TABLE_ORDER = 3_000
 
 

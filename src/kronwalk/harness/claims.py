@@ -14,7 +14,8 @@ the explicitly constructed product (:func:`_product_diameter`,
 :func:`_product_connected`), never the formula under test.  A closed form's
 hypotheses are its predictor's refusals: the harness does not check them
 again, and a ``ValueError`` from the predictor puts the instance outside the
-claim.
+claim.  The one hypothesis a profile cannot show, a loop on every vertex of
+a ``CorLoops`` factor, is the closed form's own refusal.
 
 The pair checkers read the profile and the parity tables of each factor
 through a memo that :func:`run_campaign` opens for each claim
@@ -659,7 +660,10 @@ def _family_products(g: Graph, h: Graph) -> ExtLen:
     _product_diameter,
 )
 def _all_loops(g1: Graph, g2: Graph) -> ExtLen:
-    return predict_all_loops(g1, g2).value
+    for label, g in (("first", g1), ("second", g2)):
+        if not all(g.loop_flags):
+            raise ValueError(f"{label} factor: every vertex must have a loop")
+    return predict_all_loops(_summarize(g1), _summarize(g2)).value
 
 
 @_closed_form_claim(

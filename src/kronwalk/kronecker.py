@@ -38,10 +38,17 @@ def kronecker_product(g1: Graph, g2: Graph) -> Graph:
 
 
 def product_edge_count(g1: Graph, g2: Graph) -> int:
-    """Edge count of the product: two per pair of non-loop edges, else one."""
-    l1, l2 = sum(g1.loop_flags), sum(g2.loop_flags)
-    m1, m2 = g1.edge_count - l1, g2.edge_count - l2
-    return 2 * m1 * m2 + m1 * l2 + l1 * m2 + l1 * l2
+    """Edge count of the product, from each factor's row lengths and loops.
+
+    Row ``(a, b)`` of the product has ``|N(a)| * |N(b)|`` entries, and
+    ``(a, b)`` has a loop iff ``a`` and ``b`` both do; a loop fills one row
+    entry and any other edge two.
+    """
+    (s1, l1), (s2, l2) = (
+        (sum(map(len, map(g.neighbors, range(g.order)))), sum(g.loop_flags))
+        for g in (g1, g2)
+    )
+    return (s1 * s2 + l1 * l2) // 2
 
 
 def product_diameter(s1: ParityProfile, s2: ParityProfile) -> ExtLen:

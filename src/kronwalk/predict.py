@@ -221,19 +221,15 @@ def predict_family_product(
     return _prediction(value, s1, s2)
 
 
-def predict_all_loops(g1: Graph, g2: Graph) -> DiameterPrediction:
+def predict_all_loops(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction:
     """Product of two connected factors with a loop on every vertex.
 
     Loops give walks of every length at least the distance, so each
     exponent equals the diameter and the product diameter is the larger
-    factor diameter.
+    factor diameter.  A profile does not show whether every vertex has a
+    loop, so that hypothesis is the caller's to check on the graphs.
     """
-    summaries = []
-    for label, g in (("first", g1), ("second", g2)):
-        _require(g.order >= 2, f"{label} factor: order must be at least 2")
-        _require(all(g.loop_flags), f"{label} factor: every vertex must have a loop")
-        s = summarize(g)
+    for label, s in (("first", s1), ("second", s2)):
+        _require(s.order >= 2, f"{label} factor: order must be at least 2")
         _require(s.connected, f"{label} factor: must be connected")
-        summaries.append(s)
-    s1, s2 = summaries
     return _prediction(max(s1.diameter, s2.diameter), s1, s2)

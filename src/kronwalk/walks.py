@@ -11,16 +11,25 @@ every source that parity has reached so far.  Once a level past the second
 equals the level two before it, the levels repeat with period two and the
 scan stops.
 
+The scan keeps its rows in decreasing order of degree from start to end,
+while the source bits keep their vertex labels.  Each neighbour column is
+relabelled into row positions once, when it is built, and each level
+gathers each column with one ``itemgetter`` call and ORs it into the prefix
+of rows it covers; no level is gathered back into vertex order.  A reader
+maps a row back to its vertex only where it names one: the witness row in
+:func:`profile_of` and the table rows in :func:`parity_distances`.
+
 :func:`profile_of` reads a graph's whole profile off the levels as they
 stream, and builds no n x n table:
 
-- the diameter is the last level at which the reached set
-  ``W_k | W_{k-1} | {u}`` grows (infinite unless it ends full);
+- the diameter is the first level ``k`` at which ``W_k | W_{k-1}``, the
+  set reached within ``k`` steps, is full in every row (infinite if none
+  is);
 - the odd girth is the first odd level with ``u`` in ``W_k[u]``;
 - the odd and the even span, the longest shortest odd and positive even
-  walk over all pairs, are the last level of that parity that grows
-  (infinite unless it ends full); the latest even level starts empty, since
-  the empty walk is not a positive even walk;
+  walk over all pairs, are the last level of that parity, since every level
+  the scan yields grows on the one two before it (infinite unless that
+  level is full);
 - the exponent is the larger span minus one, and the witness pair is the
   first vertex that grew at that level, with its lowest new source.
 
@@ -41,10 +50,10 @@ the vertices at each distance from the set: :func:`eccentricity`
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import compress, count
-from operator import and_, or_, xor
+from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
 from .extlen import INF, ExtLen
@@ -99,32 +108,59 @@ class ExponentReport(NamedTuple):
     witness_pair: tuple[int, int] | None
 
 
+def _gather(column: list[int]) -> Callable[[Level], Sequence[int]]:
+    """A getter of the rows at these positions, always as a sequence.
+
+    ``itemgetter`` returns the bare row for a single position, so a column
+    of one row, or of none, gathers through a slice.
+    """
+    if len(column) > 1:
+        return itemgetter(*column)
+    return itemgetter(slice(column[0], column[0] + 1) if column else slice(0))
+
+
+def _rank(units: Level) -> list[int]:
+    """The row of each vertex in a scan whose first level is ``units``.
+
+    ``W_0`` holds ``1 << u`` at the row of ``u``, so sorting the rows by
+    ``W_0`` lists them in vertex order.
+    """
+    return sorted(range(len(units)), key=units.__getitem__)
+
+
 def _levels(g: Graph) -> Iterator[Level]:
     """``W_0, W_1, ...``, up to the last level before they repeat.
 
-    Each level takes a few whole-list passes instead of one call per
-    vertex.  With the vertices in decreasing order of degree, the ``j``-th
-    neighbours of the vertices of degree above ``j`` form a column that
-    covers a prefix of that order; each column ORs its rows into the prefix,
-    and one gather puts the rows back in vertex order.
+    Row ``i`` of every level belongs to the vertex ``by_degree[i]``, the
+    vertices in decreasing order of degree, so ``W_0`` holds
+    ``1 << by_degree[i]`` at row ``i``; the source bits keep their vertex
+    labels.  The ``j``-th neighbours of the vertices of degree above ``j``,
+    relabelled into rows as the column is built, cover a prefix of the rows;
+    each level gathers each column with one call and ORs it into that
+    prefix, and the rows of degree 0 stay empty.  A reader that names a
+    vertex by its row maps the row back through :func:`_rank`, as the
+    columns do.
     """
     n = g.order
-    by_degree = sorted(range(n), key=lambda u: len(g.neighbors(u)), reverse=True)
-    nbs = [g.neighbors(u) for u in by_degree]
-    # On an edgeless graph the first column is empty, and every vertex isolated.
-    first, *columns = [
-        [nb[j] for nb in nbs if len(nb) > j] for j in range(max(len(nbs[0]), 1))
+    rows = list(map(g.neighbors, range(n)))
+    by_degree = sorted(range(n), key=list(map(len, rows)).__getitem__, reverse=True)
+    level = [1 << u for u in by_degree]
+    rank = _rank(level)
+    nbs = list(map(rows.__getitem__, by_degree))
+    # On an edgeless graph the first column is empty, and every row isolated.
+    first, *rest = [
+        [rank[nb[j]] for nb in nbs if len(nb) > j]
+        for j in range(max(len(nbs[0]), 1))
     ]
     isolated = [0] * (n - len(first))
-    place = sorted(range(n), key=by_degree.__getitem__)
-    before, level = None, [1 << u for u in range(n)]
+    gather_first = _gather(first)
+    columns = [(slice(len(column)), _gather(column)) for column in rest]
+    before = None
     for k in count(1):
         yield level
-        rows = level.__getitem__
-        step = list(map(rows, first)) + isolated
-        for column in columns:
-            step[: len(column)] = map(or_, step, map(rows, column))
-        step = list(map(step.__getitem__, place))
+        step = [*gather_first(level), *isolated]
+        for prefix, gather in columns:
+            step[prefix] = map(or_, step, gather(level))
         if k > 2 and step == before:
             return
         before, level = level, step
@@ -140,37 +176,40 @@ def profile_of(g: Graph) -> ParityProfile:
     units = next(levels)
     n = len(units)
     full = (1 << n) - 1
-    reach, diam, girth = units, 0, INF
-    reaching = reach.count(full) < n  # the reached sets stop growing once full
-    latest, prior, top = [[0] * n, [0] * n], [None, None], [0, 0]  # even, odd
+    diam = 0 if n == 1 else INF
+    girth = INF
+    before = units
+    latest, prior = [[0] * n, [0] * n], None  # the latest even and odd level
     for k, level in enumerate(levels, 1):
-        if reaching:
-            grown = list(map(or_, reach, level))
-            if grown != reach:
-                diam, reach = k, grown
-                reaching = reach.count(full) < n
+        # Past level 1 a level contains the one two before it, so the reached
+        # set W_0 | ... | W_k is W_k | W_{k-1}, with u itself in W_2.
+        if diam == INF and all(map(full.__eq__, map(or_, level, before))):
+            diam = k
         if k % 2 and girth == INF and any(map(and_, level, units)):
             girth = k
-        p = k % 2
-        if level != latest[p]:
-            top[p], prior[p], latest[p] = k, latest[p], level
-    spans = [top[p] if latest[p].count(full) == n else INF for p in (0, 1)]
+        prior, latest[k % 2] = latest[k % 2], level
+        before = level
+    # The scan stops before a level equals the one two before it, so the last
+    # level of each parity is the last that grows, and it ends full unless
+    # some pair never has a walk of that parity.
+    spans = [INF, INF]  # even, odd
+    for j in (k - 1, k):
+        if latest[j % 2].count(full) == n:
+            spans[j % 2] = j
     witness = None
     if INF not in spans:
-        # At the larger span the other parity is already full, so the pairs
-        # new to that level are exactly the pairs at the exponent.
-        p = max(spans) % 2
-        old, new = prior[p], latest[p]
-        u = next(u for u in range(n) if old[u] != new[u])
-        fresh = new[u] & ~old[u]
-        witness = (u, (fresh & -fresh).bit_length() - 1)
-    connected = not reaching
+        # The larger span is the last level, and the other parity is already
+        # full there, so the pairs new to that level are exactly the pairs at
+        # the exponent.
+        r = next(r for r in _rank(units) if level[r] != prior[r])
+        fresh = level[r] & ~prior[r]
+        witness = (units[r].bit_length() - 1, (fresh & -fresh).bit_length() - 1)
     return ParityProfile(
         order=n,
-        connected=connected,
+        connected=diam != INF,
         bipartite=girth == INF,
         odd_girth=girth,
-        diameter=diam if connected else INF,
+        diameter=diam,
         odd_diameter=spans[1],
         even_diameter=spans[0],
         witness_pair=witness,
@@ -188,7 +227,7 @@ def parity_distances(g: Graph) -> ParityDistances:
     odd = [[INF] * n for _ in range(n)]
     even = [[INF] * n for _ in range(n)]
     levels = _levels(g)
-    next(levels)  # the empty walk is not a positive even walk
+    units = next(levels)  # the empty walk is not a positive even walk
     latest = [[0] * n, [0] * n]  # the latest even and odd level
     for k, level in enumerate(levels, 1):
         table = odd if k % 2 else even
@@ -200,7 +239,12 @@ def parity_distances(g: Graph) -> ParityDistances:
                 row[v] = k
                 bits ^= 1 << v
         latest[k % 2] = level
-    return ParityDistances(odd=tuple(map(tuple, odd)), even=tuple(map(tuple, even)))
+    # The tables were filled in row order.
+    rank = _rank(units)
+    return ParityDistances(
+        odd=tuple(tuple(odd[r]) for r in rank),
+        even=tuple(tuple(even[r]) for r in rank),
+    )
 
 
 def _bfs_levels(g: Graph, sources: Iterable[int]) -> Iterator[Level]:

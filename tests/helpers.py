@@ -145,6 +145,11 @@ def labeled_graphs(min_order: int = 1) -> Iterator[Graph]:
             yield from enumerate_graphs(n, allow_loops=loops)
 
 
+def relabelled(g: Graph, labels) -> Graph:
+    """The copy of ``g`` in which vertex ``u`` is called ``labels[u]``."""
+    return Graph(g.order, [(labels[u], labels[v]) for u, v in g.edges()])
+
+
 @st.composite
 def graphs(draw, min_order: int = 1, max_order: int = 6, loops: bool = True) -> Graph:
     n = draw(st.integers(min_order, max_order))

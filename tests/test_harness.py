@@ -107,15 +107,18 @@ def test_campaign_profiles_each_factor_once_per_claim(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(claims, "summarize", counted)
-    run_campaign(["Thm3.3"], SMALL, seed=0)
-    assert seen and len(seen) == len(set(seen))
-    # Each claim starts a fresh memo, so a second run profiles every factor again.
-    run_campaign(["Thm3.3"], SMALL, seed=0)
-    assert Counter(seen) == Counter({g: 2 for g in seen})
-    # A check outside a campaign computes afresh.
-    g = seen[0]
-    REGISTRY["Thm3.3"].check((g, g))
-    assert Counter(seen)[g] == 4
+    for claim_id in ("Thm3.3", "CorLoops"):
+        seen.clear()
+        run_campaign([claim_id], SMALL, seed=0)
+        assert seen and len(seen) == len(set(seen)), claim_id
+        # Each claim starts a fresh memo, so a second run profiles every
+        # factor again.
+        run_campaign([claim_id], SMALL, seed=0)
+        assert Counter(seen) == Counter({g: 2 for g in seen}), claim_id
+        # A check outside a campaign computes afresh.
+        g = seen[0]
+        REGISTRY[claim_id].check((g, g))
+        assert Counter(seen)[g] == 4, claim_id
 
 
 def test_sandwich_claim_checks_the_shipped_bounds(monkeypatch):
@@ -349,6 +352,10 @@ def test_diameter_claim_reads_a_refusal_as_outside_the_hypotheses(monkeypatch):
             "_multipartite_factor",
             (make_cycle(5), make_complete_multipartite([2, 3])),
         ),
+        # a factor lacks a loop; max(d1, d2) would read 2 for a product of
+        # diameter 3
+        ("CorLoops", "_all_loops", (with_all_loops(make_path(3)), make_complete(2))),
+        ("CorLoops", "_all_loops", (make_path(3), with_all_loops(make_path(3)))),
     ],
 )
 def test_closed_forms_refuse_pairs_outside_their_hypotheses(claim_id, closed_form, pair):

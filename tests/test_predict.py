@@ -193,11 +193,13 @@ def test_family_product_validates_premise():
 def test_all_loops():
     g1 = Graph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
     g2 = Graph(2, [(0, 0), (1, 1), (0, 1)])
-    pred = predict_all_loops(g1, g2)
+    pred = predict_all_loops(summarize(g1), summarize(g2))
     assert pred.value == 2
     assert diameter(kronecker_product(g1, g2)) == 2
-    with pytest.raises(ValueError, match="loop"):
-        predict_all_loops(g1, make_complete(2))
+    with pytest.raises(ValueError, match="second factor: must be connected"):
+        predict_all_loops(summarize(g1), summarize(Graph(2, [(0, 0), (1, 1)])))
+    with pytest.raises(ValueError, match="first factor: order must be at least 2"):
+        predict_all_loops(summarize(Graph(1, [(0, 0)])), summarize(g2))
 
 
 def test_special_forms_agree_with_main_formula():
@@ -223,7 +225,7 @@ def test_special_forms_agree_with_main_formula():
     looped1 = Graph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
     looped2 = Graph(2, [(0, 0), (1, 1), (0, 1)])
     assert (
-        predict_all_loops(looped1, looped2).value
+        predict_all_loops(summarize(looped1), summarize(looped2)).value
         == predict_diameter(summarize(looped1), summarize(looped2)).value
     )
 

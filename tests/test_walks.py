@@ -1,7 +1,9 @@
+import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kronwalk.graphs as graphs_module
 import kronwalk.walks as walks_module
@@ -25,11 +27,19 @@ from kronwalk import (
     odd_girth,
     oracle_exponent,
     parity_distances,
+    random_graph,
     summarize,
 )
 from kronwalk.walks import eccentricity
 
-from helpers import dp_distances, graphs, labeled_graphs, walk_profile, walk_reach
+from helpers import (
+    dp_distances,
+    graphs,
+    labeled_graphs,
+    relabelled,
+    walk_profile,
+    walk_reach,
+)
 
 
 def test_dp_oracle_on_triangle():
@@ -80,10 +90,44 @@ def test_level_scan_matches_walk_enumeration_exhaustive(n, allow_loops):
         Graph(4, [(0, 1), (1, 2), (2, 0)]),  # vertex 3 is isolated
         make_f_family(9, 3),
         make_path(7),
+        # Long path-like graphs and a sparse one, with labels far from the
+        # degree order the scan keeps its rows in.
+        *(
+            relabelled(g, random.Random(30).sample(range(g.order), g.order))
+            for g in (
+                make_f_family(30, 5),
+                make_h_family(30, 4),
+                make_path(31),
+                random_graph(30, 0.08, 0.05, 11),
+            )
+        ),
     ],
-    ids=["complete+:1", "bare vertex", "isolated vertex", "F:9,3", "path:7"],
+    ids=[
+        "complete+:1", "bare vertex", "isolated vertex", "F:9,3", "path:7",
+        "F:30,5 relabelled", "H:30,4 relabelled", "path:31 relabelled",
+        "sparse random:30 relabelled",
+    ],
 )
 def test_level_scan_matches_walk_enumeration_on_named_graphs(g):
+    _assert_scan_matches_walk_enumeration(g)
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """Hypothesis graphs of order <= 8 under a random relabelling.
+
+    The scan keeps its rows in degree order, so these exercise label orders
+    far from that one; loops, isolated vertices and ties of degree all occur.
+    """
+    g = draw(graphs(max_order=8))
+    return relabelled(g, draw(st.permutations(range(g.order))))
+
+
+@given(shuffled_graphs())
+@settings(max_examples=200, deadline=None)
+@example(relabelled(Graph(6, [(0, 1), (0, 2), (3, 3), (4, 4)]), [5, 3, 0, 4, 1, 2]))
+@example(Graph(5, [(4, 0), (4, 1), (4, 2), (4, 3), (0, 0)]))  # one-row columns
+def test_scan_is_blind_to_the_label_order(g):
     _assert_scan_matches_walk_enumeration(g)
 
 
