@@ -28,7 +28,6 @@ from .graphs import (
     MAX_ORDER,
     MAX_TABLE_ORDER,
     Graph,
-    enumerate_graphs,
     is_k_plus,
     make_complete,
     make_complete_multipartite,
@@ -37,6 +36,7 @@ from .graphs import (
     make_h_family,
     make_path,
     random_graph,
+    unlabeled_graphs,
 )
 from .kronecker import (
     kronecker_product,
@@ -90,7 +90,6 @@ __all__ = [
     "diameter",
     "diameter_bounds",
     "distance_matrix",
-    "enumerate_graphs",
     "enumerate_odd_cycles",
     "exponent",
     "format_edge_list",
@@ -123,5 +122,6 @@ __all__ = [
     "random_graph",
     "read_graph",
     "summarize",
+    "unlabeled_graphs",
     "write_graph",
 ]

@@ -10,13 +10,15 @@ instances can be shared freely across concurrent work.
 Besides the core type this module provides the named family constructors
 (paths, cycles, complete graphs with or without loops, complete multipartite
 graphs, and the path-plus-clique / path-plus-cycle families), seeded random
-generation, and exhaustive enumeration of small labeled graphs.
+generation, and exhaustive enumeration of small graphs, one per
+isomorphism class.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator
+from itertools import compress, permutations
 
 ENUM_CAP_LOOPLESS = 5
 ENUM_CAP_LOOPED = 4
@@ -263,11 +265,16 @@ def random_graph(n: int, edge_prob: float, loop_prob: float, seed: int) -> Graph
     return Graph(n, edges)
 
 
-def enumerate_graphs(n: int, allow_loops: bool = False) -> Iterator[Graph]:
-    """Yield every labeled graph on ``n`` vertices exactly once.
+def unlabeled_graphs(n: int, allow_loops: bool = False) -> Iterator[Graph]:
+    """Yield one graph on ``n`` vertices per isomorphism class.
 
-    There are ``2**C(n, 2)`` graphs, times ``2**n`` when loops are allowed,
-    so ``n`` is refused above 5 loopless and 4 with loops.
+    The edge masks are walked in increasing order.  A mask not yet marked
+    starts a new class: its graph is yielded and the masks of its ``n!``
+    relabelings are marked, so each class is represented by its least mask,
+    a brute-force canonical form (McKay and Piperno, "Practical graph
+    isomorphism II", 2014).  There are ``2**C(n, 2)`` masks, times ``2**n``
+    when loops are allowed, so ``n`` is refused above 5 loopless and 4 with
+    loops.
     """
     cap = ENUM_CAP_LOOPED if allow_loops else ENUM_CAP_LOOPLESS
     if n < 1:
@@ -277,8 +284,20 @@ def enumerate_graphs(n: int, allow_loops: bool = False) -> Iterator[Graph]:
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if allow_loops:
         slots.extend((v, v) for v in range(n))
-    for mask in range(1 << len(slots)):
-        yield Graph(n, [slot for i, slot in enumerate(slots) if mask >> i & 1])
+    bit = {slot: 1 << i for i, slot in enumerate(slots)}
+    # Under relabeling p, the slot at position i moves to the bit table[i].
+    tables = [
+        [bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in slots]
+        for p in permutations(range(n))
+    ]
+    marked = bytearray(1 << len(slots))
+    for mask in range(len(marked)):
+        if marked[mask]:
+            continue
+        present = [mask >> i & 1 for i in range(len(slots))]
+        for table in tables:
+            marked[sum(compress(table, present))] = 1
+        yield Graph(n, compress(slots, present))
 
 
 def is_k_plus(g: Graph) -> bool:

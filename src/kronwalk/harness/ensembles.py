@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, NamedTuple
 
-from ..graphs import Graph, enumerate_graphs, random_graph
+from ..graphs import Graph, random_graph, unlabeled_graphs
 from ..walks import is_connected
 
 
@@ -21,7 +21,7 @@ RANDOM_SINGLE_ORDER = 8  # largest random graph in the cycle-bound claim
 class EnsembleSpec(NamedTuple):
     """Cap for exhaustive sweeps and count for randomized ones."""
 
-    exhaustive_order: int = 4  # labeled graphs with loops up to this order
+    exhaustive_order: int = 4  # graphs with loops up to this order, one per class
     random_count: int = 500  # random instances per claim
 
     @property
@@ -32,9 +32,9 @@ class EnsembleSpec(NamedTuple):
 def connected_graphs(
     max_order: int, allow_loops: bool, min_order: int = 1
 ) -> Iterator[Graph]:
-    """All connected labeled graphs with orders in ``[min_order, max_order]``."""
+    """One connected graph per isomorphism class, orders in ``[min_order, max_order]``."""
     for n in range(min_order, max_order + 1):
-        for g in enumerate_graphs(n, allow_loops):
+        for g in unlabeled_graphs(n, allow_loops):
             if is_connected(g):
                 yield g
 

@@ -147,11 +147,15 @@ def _levels(g: Graph) -> Iterator[Level]:
     level = [1 << u for u in by_degree]
     rank = _rank(level)
     nbs = list(map(rows.__getitem__, by_degree))
-    # On an edgeless graph the first column is empty, and every row isolated.
-    first, *rest = [
-        [rank[nb[j]] for nb in nbs if len(nb) > j]
-        for j in range(max(len(nbs[0]), 1))
-    ]
+    # Column j reads the first `covered` rows, those of degree above j.  On an
+    # edgeless graph the first column is empty, and every row isolated.
+    built = []
+    covered = n
+    for j in range(max(len(nbs[0]), 1)):
+        while covered and len(nbs[covered - 1]) <= j:
+            covered -= 1
+        built.append([rank[nb[j]] for nb in nbs[:covered]])
+    first, *rest = built
     isolated = [0] * (n - len(first))
     gather_first = _gather(first)
     columns = [(slice(len(column)), _gather(column)) for column in rest]

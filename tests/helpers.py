@@ -17,7 +17,7 @@ from collections.abc import Iterator
 
 from hypothesis import strategies as st
 
-from kronwalk import INF, Graph, enumerate_graphs, is_connected, random_graph
+from kronwalk import INF, Graph, is_connected, random_graph
 
 ACCEPT_SEED = 7
 
@@ -136,6 +136,19 @@ def brute_l_o_bound(g: Graph, cap: int) -> tuple:
     best = min(values, default=INF)
     best_cycle = kept[values.index(best)] if values else None
     return best, best_cycle, len(cycles) <= cap, len(kept)
+
+
+def enumerate_graphs(n: int, allow_loops: bool = False) -> Iterator[Graph]:
+    """Yield every labeled graph on ``n`` vertices exactly once, by edge mask.
+
+    ``kronwalk.unlabeled_graphs`` yields one graph per isomorphism class;
+    this labeled sweep is the oracle its tests compare it with.
+    """
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if allow_loops:
+        slots.extend((v, v) for v in range(n))
+    for mask in range(1 << len(slots)):
+        yield Graph(n, [slot for i, slot in enumerate(slots) if mask >> i & 1])
 
 
 def labeled_graphs(min_order: int = 1) -> Iterator[Graph]:

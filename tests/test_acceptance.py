@@ -15,7 +15,6 @@ from kronwalk import (
     adjacency,
     bool_pow,
     diameter,
-    enumerate_graphs,
     exponent,
     is_bipartite,
     is_connected,
@@ -35,7 +34,7 @@ from kronwalk import (
     summarize,
 )
 
-from helpers import ACCEPT_SEED, random_connected_graph
+from helpers import ACCEPT_SEED, enumerate_graphs, random_connected_graph
 
 
 def _report(criterion, label, detail, started):

@@ -190,7 +190,7 @@ def test_verify_single_claim(capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert doc["claims"][0]["claim_id"] == "Thm3.4"
-    assert doc["claims"][0]["instances_checked"] == 36 * 36
+    assert doc["claims"][0]["instances_checked"] == 13 * 13
 
 
 def test_verify_report_matches_golden_file(capsys):
@@ -221,7 +221,7 @@ def test_verify_rejects_out_of_range_sizes(monkeypatch, capsys, flags):
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(ensembles, "enumerate_graphs", refuse)
+    monkeypatch.setattr(ensembles, "unlabeled_graphs", refuse)
     code, out, err = run_cli(capsys, "verify", *flags)
     assert code == 1
     assert out == ""

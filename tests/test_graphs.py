@@ -1,9 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 from kronwalk import (
     Graph,
-    enumerate_graphs,
     is_k_plus,
     make_complete,
     make_complete_multipartite,
@@ -12,11 +13,13 @@ from kronwalk import (
     make_h_family,
     make_path,
     random_graph,
+    unlabeled_graphs,
 )
 import kronwalk.graphs as graphs_module
+from kronwalk.harness.claims import are_isomorphic
 from kronwalk.walks import is_bipartite, is_connected
 
-from helpers import graphs, labeled_graphs
+from helpers import enumerate_graphs, graphs, labeled_graphs
 
 
 def test_order_must_be_positive():
@@ -224,9 +227,32 @@ def test_enumerate_counts():
 
 
 def test_enumerate_cap():
+    # Each refusal comes at the first step, before any graph is yielded.
     with pytest.raises(ValueError):
-        list(enumerate_graphs(6))
+        next(unlabeled_graphs(6))
     with pytest.raises(ValueError):
-        list(enumerate_graphs(5, allow_loops=True))
+        next(unlabeled_graphs(5, allow_loops=True))
     with pytest.raises(ValueError):
-        next(enumerate_graphs(9, allow_loops=True))  # refused before any graph
+        next(unlabeled_graphs(9, allow_loops=True))
+    with pytest.raises(ValueError):
+        next(unlabeled_graphs(0))
+
+
+@pytest.mark.parametrize(
+    "loops, counts", [(False, [1, 2, 4, 11, 34]), (True, [2, 6, 20, 90])]
+)
+def test_unlabeled_counts(loops, counts):
+    # OEIS A000088 (simple graphs) and A000666 (graphs with loops allowed).
+    orders = range(1, len(counts) + 1)
+    assert [sum(1 for _ in unlabeled_graphs(n, loops)) for n in orders] == counts
+
+
+@pytest.mark.parametrize(
+    "n, loops", [(n, False) for n in range(1, 6)] + [(n, True) for n in range(1, 5)]
+)
+def test_unlabeled_graphs_represent_each_class_once(n, loops):
+    representatives = list(unlabeled_graphs(n, loops))
+    for g, h in itertools.combinations(representatives, 2):
+        assert not are_isomorphic(g, h)
+    for g in enumerate_graphs(n, loops):
+        assert sum(are_isomorphic(g, r) for r in representatives) == 1

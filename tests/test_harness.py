@@ -1,3 +1,4 @@
+import itertools
 import re
 from collections import Counter
 from pathlib import Path
@@ -8,7 +9,6 @@ from kronwalk import (
     Bounds,
     Graph,
     diameter,
-    enumerate_graphs,
     kronecker_product,
     make_complete,
     make_complete_multipartite,
@@ -23,6 +23,7 @@ from kronwalk.harness import (
     Claim,
     EnsembleSpec,
     Failure,
+    connected_graphs,
     minimize_counterexample,
     run_campaign,
     with_all_loops,
@@ -34,7 +35,7 @@ from kronwalk.harness.claims import (
     complete_multipartite_parts,
 )
 
-from helpers import labeled_graphs
+from helpers import enumerate_graphs, labeled_graphs
 
 SMALL = EnsembleSpec(exhaustive_order=3, random_count=20)
 
@@ -302,6 +303,31 @@ def test_are_isomorphic_counts_the_unlabeled_graphs(order, loops, classes):
         if not any(are_isomorphic(g, r) for r in representatives):
             representatives.append(g)
     assert len(representatives) == classes
+
+
+def _assert_pairwise_non_isomorphic(graphs):
+    for g, h in itertools.combinations(graphs, 2):
+        assert not are_isomorphic(g, h), (g, h)
+
+
+@pytest.mark.parametrize("order, loops, classes", [(5, False, 31), (4, True, 65)])
+def test_connected_graphs_hold_one_graph_per_class(order, loops, classes):
+    # Every claim is blind to vertex labels, so a relabeled copy in an
+    # exhaustive head would only repeat a check.
+    head = list(connected_graphs(order, loops))
+    assert len(head) == classes
+    _assert_pairwise_non_isomorphic(head)
+
+
+def test_pair_pools_hold_one_graph_per_class():
+    spec = EnsembleSpec(exhaustive_order=3, random_count=0)
+    pool = claims._pair_pool(spec)
+    assert len(pool) == 13
+    _assert_pairwise_non_isomorphic(pool)
+    # Adding every loop maps the 13 classes onto K2, P3 and K3 with loops, so
+    # CorLoops takes the loopless classes: 3 * 3 pairs.
+    (outcome,) = run_campaign(["CorLoops"], spec, seed=0)
+    assert outcome.instances_checked == 9
 
 
 def test_complete_multipartite_recognizer():

@@ -6,7 +6,6 @@ from kronwalk import (
     Graph,
     adjacency,
     diameter,
-    enumerate_graphs,
     is_bipartite,
     is_connected,
     kron_matrix,
@@ -22,7 +21,7 @@ from kronwalk import (
 )
 import kronwalk.graphs as graphs_module
 
-from helpers import graphs
+from helpers import enumerate_graphs, graphs
 
 
 def _edge_pair_product(g1, g2):

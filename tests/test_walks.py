@@ -13,13 +13,13 @@ from kronwalk import (
     ParityProfile,
     diameter,
     distance_matrix,
-    enumerate_graphs,
     exponent,
     is_bipartite,
     is_connected,
     is_k_plus,
     local_exponent,
     make_complete,
+    make_complete_multipartite,
     make_cycle,
     make_f_family,
     make_h_family,
@@ -34,6 +34,7 @@ from kronwalk.walks import eccentricity
 
 from helpers import (
     dp_distances,
+    enumerate_graphs,
     graphs,
     labeled_graphs,
     relabelled,
@@ -142,6 +143,23 @@ def test_profile_builds_no_all_pairs_table():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "centre_loop, expected",
+    [
+        (False, ParityProfile(3000, True, True, INF, 2, INF, INF, None)),
+        # Leaf to leaf: even 2 through the centre, odd 3 round its loop.
+        (True, ParityProfile(3000, True, False, 1, 2, 3, 2, (1, 1))),
+    ],
+)
+def test_star_profile_at_the_table_limit(centre_loop, expected):
+    # The centre's row is the only one past the first column, so every later
+    # column covers one row of 3,000.
+    star = make_complete_multipartite([1, 2999])
+    if centre_loop:
+        star = Graph(star.order, [*star.edges(), (0, 0)])
+    assert summarize(star) == expected
 
 
 @given(graphs(max_order=6))
