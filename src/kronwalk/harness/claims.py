@@ -256,10 +256,13 @@ def _single_instances(
     loops: bool = True,
     max_random_order: int = RANDOM_ORDER,
 ) -> Iterator[Instance]:
-    head = connected_graphs(spec.exhaustive_loopless_order, allow_loops=False)
+    # The looped sweep holds every loopless class of its orders, so with loops
+    # the loopless sweep adds only the order above the looped cap.
+    top = spec.exhaustive_loopless_order
+    head = connected_graphs(top, allow_loops=False, min_order=top if loops else 1)
     if loops:
         head = itertools.chain(
-            head, connected_graphs(spec.exhaustive_order, allow_loops=True)
+            connected_graphs(spec.exhaustive_order, allow_loops=True), head
         )
     return _stream(
         _singles(head),

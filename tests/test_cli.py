@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import resource
@@ -498,3 +500,58 @@ def test_benchmark_tracer_runs_the_cli(tmp_path, argv):
     assert result.returncode == 0, result.stderr
     json.loads(result.stdout)
     assert trace.stat().st_size > 0
+
+
+# Runs kronwalk.cli as __main__, as `python -m kronwalk.cli` does, and prints
+# the collector's frozen object count from an exit handler.
+_MODULE_ENTRY = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("kronwalk.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["metrics", "cycle:5"], 0, None),
+        (["metrics", "cycle:x"], 1, "error: cycle:x: parameters must be integers"),
+    ],
+)
+def test_module_entry_freezes_the_heap_and_exits_with_mains_code(
+    tmp_path, argv, code, message
+):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULE_ENTRY, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == code
+    *lines, frozen = result.stderr.splitlines()
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+    if message is None:
+        assert json.loads(result.stdout)["odd_girth"] == 5 and lines == []
+    else:
+        assert result.stdout == "" and lines == [message]
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # Tests and the benchmark's tracer call main in process.
+    before = gc.get_freeze_count()
+    code, out, _ = run_cli(capsys, "metrics", "cycle:5")
+    assert code == 0 and json.loads(out)["odd_girth"] == 5
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_runs_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    root = Path(__file__).parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, function = project["project"]["scripts"]["kronwalk"].partition(":")
+    assert module == "kronwalk.cli"
+    tree = ast.parse((root / "src" / "kronwalk" / "cli.py").read_text(encoding="utf-8"))
+    (block,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{function}()"]

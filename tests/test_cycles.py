@@ -217,3 +217,26 @@ def test_cycle_search_equals_brute_force_on_graphs_with_loops(g):
     assert list(enumerate_odd_cycles(g)) == brute_odd_cycles(g)
     if is_connected(g):
         _assert_bound_is_brute_force(g)
+
+
+def test_bound_is_infinite_exactly_without_an_odd_cycle():
+    for g in labeled_graphs():
+        if is_connected(g):
+            assert (l_o_bound(g).l_o == INF) == (not brute_odd_cycles(g)), g
+
+
+def test_bound_searches_no_cycle_on_a_bipartite_graph(monkeypatch):
+    import kronwalk.cycles as cycles
+
+    def no_search(neighbors, anchor):
+        raise AssertionError("cycle search on a bipartite graph")
+
+    monkeypatch.setattr(cycles, "_simple_cycles_from", no_search)
+    bipartite = [g for g in labeled_graphs() if not brute_odd_cycles(g)]
+    k34 = Graph(7, [(u, v) for u in range(3) for v in range(3, 7)])
+    for g in bipartite + [make_cycle(288), make_path(300), k34]:
+        if is_connected(g):
+            assert tuple(l_o_bound(g, cap=1)) == (INF, None, True, 0), g
+        else:
+            with pytest.raises(ValueError, match="connected"):
+                l_o_bound(g)

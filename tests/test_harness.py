@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -328,6 +329,18 @@ def test_pair_pools_hold_one_graph_per_class():
     # CorLoops takes the loopless classes: 3 * 3 pairs.
     (outcome,) = run_campaign(["CorLoops"], spec, seed=0)
     assert outcome.instances_checked == 9
+
+
+@pytest.mark.parametrize("order, graphs", [(3, 21), (4, 86)])
+def test_single_graph_head_holds_one_graph_per_class(order, graphs):
+    # The looped sweep already holds every loopless class of its orders, so
+    # the loopless sweep adds only the order above the looped cap.
+    spec = EnsembleSpec(exhaustive_order=order, random_count=0)
+    head = [g for (g,) in claims._single_instances(spec, random.Random(0))]
+    assert len(head) == graphs
+    _assert_pairwise_non_isomorphic(head)
+    for g in connected_graphs(order + 1, allow_loops=False):
+        assert any(are_isomorphic(g, h) for h in head), g
 
 
 def test_complete_multipartite_recognizer():

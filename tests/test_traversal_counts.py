@@ -49,14 +49,17 @@ def test_summarize_runs_one_parity_traversal(traversals):
 
 def test_metrics_runs_one_profile_and_the_cycle_bound(traversals, capsys):
     assert cli.main(["metrics", "F:30,5"]) == 0
-    # The cycle bound builds no all-pairs table, and the first cycle's
-    # unlimited search shows that the graph is connected.
-    assert traversals == [PROFILE]
+    # The cycle bound builds no all-pairs table: one two-colouring search
+    # shows an odd cycle, and the first cycle's unlimited search shows that
+    # the graph is connected.
+    assert traversals == [PROFILE, ("is_bipartite", "l_o_bound")]
 
 
 def test_cycle_bound_checks_connectivity_only_with_no_odd_cycle(traversals, capsys):
     assert cli.main(["metrics", "path:30"]) == 0
-    assert traversals == [PROFILE, ("is_connected", "l_o_bound")]
+    assert traversals == [
+        PROFILE, ("is_bipartite", "l_o_bound"), ("is_connected", "l_o_bound")
+    ]
 
 
 @pytest.mark.parametrize(
