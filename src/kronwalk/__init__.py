@@ -57,16 +57,12 @@ from .predict import (
 )
 from .walks import (
     ExponentReport,
-    ParityDistances,
     ParityProfile,
     diameter,
-    distance_matrix,
     exponent,
     is_bipartite,
     is_connected,
-    local_exponent,
     odd_girth,
-    parity_distances,
 )
 
 __all__ = [
@@ -82,14 +78,12 @@ __all__ = [
     "MAX_EDGES",
     "MAX_ORDER",
     "MAX_TABLE_ORDER",
-    "ParityDistances",
     "ParityProfile",
     "adjacency",
     "bool_mul",
     "bool_pow",
     "diameter",
     "diameter_bounds",
-    "distance_matrix",
     "enumerate_odd_cycles",
     "exponent",
     "format_edge_list",
@@ -100,7 +94,6 @@ __all__ = [
     "kron_matrix",
     "kronecker_product",
     "l_o_bound",
-    "local_exponent",
     "make_complete",
     "make_complete_multipartite",
     "make_cycle",
@@ -109,7 +102,6 @@ __all__ = [
     "make_path",
     "odd_girth",
     "oracle_exponent",
-    "parity_distances",
     "parse_edge_list",
     "predict_all_loops",
     "predict_diameter",

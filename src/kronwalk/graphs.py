@@ -27,14 +27,14 @@ MAX_ORDER = 100_000
 # Largest edge count of a dense family graph or a product; each listed edge
 # costs a few hundred bytes until the graph is built.
 MAX_EDGES = 1_000_000
-# Largest order of a graph given an all-pairs table or a parity scan.  A
-# table costs about 50 bytes per vertex pair, so 3,000 vertices need about
-# 450 MB; only the verify checkers build one.  The reach scan behind
-# `diameter` keeps two levels of n-bit rows, about 2 MB at this limit.  The
-# scan behind `summarize`, which `metrics`, `predict` and `product` run,
-# builds no table, so for it the limit bounds time instead: the scan runs
-# about as many levels as the exponent or the diameter, and on a 2-vCPU host
-# `path:3000` takes about 2-3 s and `F:3000,5` about 3-4 s.
+# Largest order of a graph given an all-sources scan.  No scan builds an
+# all-pairs table: the reach scan behind `diameter` keeps two levels of n-bit
+# rows, about 2 MB at this limit, and only `walk_levels`, which the verify
+# checkers read on small graphs, keeps every level.  For the scan behind
+# `summarize`, which `metrics`, `predict` and `product` run, the limit bounds
+# time instead: the scan runs about as many levels as the exponent or the
+# diameter, and on a 2-vCPU host `path:3000` takes about 2-3 s and
+# `F:3000,5` about 3-4 s.
 MAX_TABLE_ORDER = 3_000
 
 

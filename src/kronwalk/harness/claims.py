@@ -17,10 +17,15 @@ again, and a ``ValueError`` from the predictor puts the instance outside the
 claim.  The one hypothesis a profile cannot show, a loop on every vertex of
 a ``CorLoops`` factor, is the closed form's own refusal.
 
-The pair checkers read the profile and the parity tables of each factor
+The pair checkers read the profile and the walk levels of each factor
 through a memo that :func:`run_campaign` opens for each claim
-(:func:`memo_profiles`), so a pair pool profiles each of its graphs once; a
+(:func:`memo_profiles`), so a pair pool scans each of its graphs once; a
 check called on its own computes afresh.
+
+The walk lemmas are checked on those levels, as bitset rows: a product walk
+is a pair of factor walks of the same length, so level ``k`` of a product's
+walk scan holds the Kronecker product of its factors' level-``k`` rows.  No
+checker builds an n x n table of walk lengths or distances.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from ..boolmat import adjacency, bool_mul
+from ..boolmat import BoolMatrix, adjacency, bool_mul, kron_matrix
 from ..extlen import ExtLen, is_finite
 from ..graphs import (
     Graph,
@@ -54,14 +59,12 @@ from ..predict import (
     summarize,
 )
 from ..walks import (
-    ParityDistances,
     ParityProfile,
+    _reach,
     diameter,
-    distance_matrix,
     exponent,
     is_connected,
-    local_exponent,
-    parity_distances,
+    walk_levels,
 )
 from ..cycles import l_o_bound
 from .ensembles import (
@@ -74,6 +77,7 @@ from .ensembles import (
 )
 
 Instance = tuple[Graph, ...]
+Levels = list[tuple[int, ...]]
 
 
 class Failure(NamedTuple):
@@ -132,14 +136,14 @@ def _closed_form_claim(claim_id: str, description: str, instances, truth) -> Cal
     return register
 
 
-# The live memo of ``_summarize`` and ``_parity_distances``, keyed by route
-# and graph; None outside ``memo_profiles``.
+# The live memo of ``_summarize`` and ``_walk_levels``, keyed by route and
+# graph; None outside ``memo_profiles``.
 _memo: dict[tuple[Callable, Graph], object] | None = None
 
 
 @contextmanager
 def memo_profiles() -> Iterator[None]:
-    """Within the block, ``_summarize`` and ``_parity_distances`` run once per graph."""
+    """Within the block, ``_summarize`` and ``_walk_levels`` run once per graph."""
     global _memo
     _memo = {}
     try:
@@ -165,8 +169,21 @@ def _summarize(g: Graph) -> ParityProfile:
     return _recall(summarize, g)
 
 
-def _parity_distances(g: Graph) -> ParityDistances:
-    return _recall(parity_distances, g)
+def _walk_levels(g: Graph) -> Levels:
+    return _recall(walk_levels, g)
+
+
+def _level(levels: Levels, k: int) -> tuple[int, ...]:
+    """``W_k`` of a scan: past its last level the levels repeat with period two."""
+    last = len(levels) - 1
+    return levels[k if k <= last else last - (k - last) % 2]
+
+
+def _latest(levels: Levels, k: int, first: int) -> BoolMatrix:
+    """The last of ``W_first, W_first+2, ...`` up to ``k``; zero rows before ``first``."""
+    n = len(levels[0])
+    j = k - (k - first) % 2
+    return BoolMatrix(n, _level(levels, j) if j >= first else (0,) * n)
 
 
 def _product_diameter(g1: Graph, g2: Graph) -> ExtLen:
@@ -310,40 +327,21 @@ def _larger_exponent(g1: Graph, g2: Graph) -> ExtLen | None:
     _single_instances,
 )
 def _check_local_exponent_onset(instance: Instance) -> Failure | None:
+    # Level k of the walk scan is A^k, so a pair's walk lengths, and with
+    # them its local exponent, are those of the powers; A^k within A^(k+2)
+    # makes every length from the local exponent on a walk length.
     (g,) = instance
-    n = g.order
-    cap = 2 * n + 2
+    levels = walk_levels(g)
     a = adjacency(g)
     powers = [a]
-    for _ in range(cap - 1):
+    for _ in range(2 * g.order + 1):
         powers.append(bool_mul(powers[-1], a))
-    pd = parity_distances(g)
-    for u in range(n):
-        for v in range(n):
-            local = local_exponent(pd, u, v)
-            bits = [p.bit(u, v) for p in powers]  # bits[k-1] is the k-th power
-            if is_finite(local):
-                local = int(local)
-                if local >= 2 and bits[local - 2]:
-                    return Failure(
-                        False,
-                        True,
-                        f"walk of length {local - 1} exists below the "
-                        f"local exponent at pair ({u}, {v})",
-                    )
-                if not all(bits[k - 1] for k in range(max(local, 1), cap + 1)):
-                    return Failure(
-                        True,
-                        False,
-                        f"missing walk length above the local exponent at ({u}, {v})",
-                    )
-            elif bits[cap - 1] and bits[cap - 2]:
-                return Failure(
-                    False,
-                    True,
-                    f"pair ({u}, {v}) has walks of both parities but "
-                    "infinite local exponent",
-                )
+    for k, power in enumerate(powers, 1):
+        if _level(levels, k) != power.rows:
+            return Failure(f"A^{k}", f"level {k}", "walk level differs from the power")
+    for k, (power, later) in enumerate(zip(powers, powers[2:]), 1):
+        if any(row & ~above for row, above in zip(power.rows, later.rows)):
+            return Failure(True, False, f"a walk of length {k} has no extension by two")
     return None
 
 
@@ -362,27 +360,21 @@ _closed_form_claim(
     _pair_instances,
 )
 def _check_walk_combination(instance: Instance) -> Failure | None:
+    # Level k holds every walk of k's parity up to length k, so factor walks
+    # of one parity and lengths at most k combine iff the Kronecker product
+    # of the factor levels lies within the product's level.
     g1, g2 = instance
-    pd1, pd2 = _parity_distances(g1), _parity_distances(g2)
-    pdp = parity_distances(kronecker_product(g1, g2))
-    n2 = g2.order
-    for x1 in range(g1.order):
-        for y1 in range(g1.order):
-            for x2 in range(n2):
-                for y2 in range(n2):
-                    x, y = x1 * n2 + x2, y1 * n2 + y2
-                    for fac1, fac2, prod in (
-                        (pd1.odd, pd2.odd, pdp.odd),
-                        (pd1.even, pd2.even, pdp.even),
-                    ):
-                        bound = max(fac1[x1][y1], fac2[x2][y2])
-                        if is_finite(bound) and prod[x][y] > bound:
-                            return Failure(
-                                f"<= {bound}",
-                                prod[x][y],
-                                f"no short same-parity product walk for "
-                                f"({x1},{x2}) -> ({y1},{y2})",
-                            )
+    scans = (_walk_levels(g1), _walk_levels(g2), walk_levels(kronecker_product(g1, g2)))
+    n1, n2 = g1.order, g2.order
+    for k in range(1, max(map(len, scans))):
+        w1, w2, product = (_level(scan, k) for scan in scans)
+        combined = kron_matrix(BoolMatrix(n1, w1), BoolMatrix(n2, w2)).rows
+        for x, (want, have) in enumerate(zip(combined, product)):
+            if want & ~have:
+                y = (want & ~have).bit_length() - 1
+                pair = f"{divmod(x, n2)} -> {divmod(y, n2)}"
+                detail = f"no short same-parity product walk for {pair}"
+                return Failure(f"<= {k}", f"> {k}", detail)
     return None
 
 
@@ -413,29 +405,30 @@ def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
     _pair_instances,
 )
 def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
+    # A product pair within distance k needs, in one factor, a walk of one
+    # parity and length at most k and, in the other, one of the other
+    # parity: bits of (O1 x all | all x E2) & (E1 x all | all x O2) for the
+    # latest odd and positive even factor levels O and E up to k.
     g1, g2 = instance
-    pd1, pd2 = _parity_distances(g1), _parity_distances(g2)
-    if not all(is_finite(max(map(max, pd.odd + pd.even))) for pd in (pd1, pd2)):
+    if not all(is_finite(_summarize(g).exponent) for g in instance):
         return None  # a factor is not primitive
-    dist = distance_matrix(kronecker_product(g1, g2))
-    n2 = g2.order
-    for x1 in range(g1.order):
-        for y1 in range(g1.order):
-            for x2 in range(n2):
-                for y2 in range(n2):
-                    x, y = x1 * n2 + x2, y1 * n2 + y2
-                    if x == y:
-                        continue
-                    bound = max(
-                        min(pd1.odd[x1][y1], pd2.even[x2][y2]),
-                        min(pd1.even[x1][y1], pd2.odd[x2][y2]),
-                    )
-                    if dist[x][y] < bound:
-                        return Failure(
-                            f">= {bound}",
-                            dist[x][y],
-                            f"product pair ({x1},{x2}) -> ({y1},{y2}) too close",
-                        )
+    levels1, levels2 = _walk_levels(g1), _walk_levels(g2)
+    n1, n2 = g1.order, g2.order
+    all1, all2 = (BoolMatrix(n, ((1 << n) - 1,) * n) for n in (n1, n2))
+    for k, reached in enumerate(_reach(kronecker_product(g1, g2))):
+        o1, o2 = (_latest(levels, k, 1) for levels in (levels1, levels2))
+        e1, e2 = (_latest(levels, k, 2) for levels in (levels1, levels2))
+        allowed = zip(
+            kron_matrix(o1, all2).rows,
+            kron_matrix(all1, e2).rows,
+            kron_matrix(e1, all2).rows,
+            kron_matrix(all1, o2).rows,
+        )
+        for x, (row, (a, b, c, d)) in enumerate(zip(reached, allowed)):
+            close = row & ~((a | b) & (c | d)) & ~(1 << x)
+            if close:
+                pair = f"{divmod(x, n2)} -> {divmod(close.bit_length() - 1, n2)}"
+                return Failure(f"> {k}", k, f"product pair {pair} too close")
     return None
 
 

@@ -15,12 +15,12 @@ The scan keeps its rows in decreasing order of degree from start to end,
 while the source bits keep their vertex labels.  Each neighbour column is
 relabelled into row positions once, when it is built, and each level
 gathers each column with one ``itemgetter`` call and ORs it into the prefix
-of rows it covers; no level is gathered back into vertex order.  A reader
-maps a row back to its vertex only where it names one: the witness row in
-:func:`profile_of` and the table rows in :func:`parity_distances`.
+of rows it covers; no level is gathered back into vertex order as the scan
+runs.  A reader maps a row back to its vertex only where it names one: the
+witness row in :func:`profile_of`, and every row in :func:`walk_levels`.
 
 :func:`profile_of` reads a graph's whole profile off the levels as they
-stream, and builds no n x n table:
+stream:
 
 - the diameter is the first level ``k`` at which ``W_k | W_{k-1}``, the
   set reached within ``k`` steps, is full in every row (infinite if none
@@ -33,14 +33,14 @@ stream, and builds no n x n table:
 - the exponent is the larger span minus one, and the witness pair is the
   first vertex that grew at that level, with its lowest new source.
 
-:func:`parity_distances` expands the same levels into the tables of
-shortest odd and shortest positive even walk lengths.
+:func:`walk_levels` hands the levels themselves, in vertex order, to the
+verify checkers of the pair lemmas: level ``k`` is the ``k``-th power of
+the adjacency matrix.
 
-:func:`diameter` and :func:`distance_matrix`, the ground truth on every
-built product, read a second all-sources scan, ``_reach``, which shares no
-code with the first: ``R_k[u]`` is the set of vertices within distance
-``k`` of ``u``.  The diameter is the first ``k`` at which every row is
-full, and the distances are the bits each step adds.
+:func:`diameter`, the ground truth on every built product, reads a second
+all-sources scan, ``_reach``, which shares no code with the first:
+``R_k[u]`` is the set of vertices within distance ``k`` of ``u``, and the
+diameter is the first ``k`` at which every row is full.
 
 Every BFS from one set of sources reads one generator, ``_bfs_levels``, of
 the vertices at each distance from the set: :func:`eccentricity`
@@ -52,14 +52,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import compress, count
-from operator import and_, itemgetter, or_, xor
+from itertools import chain, count
+from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from .extlen import INF, ExtLen
 from .graphs import Graph, check_table_order
 
-Matrix = tuple[tuple[ExtLen, ...], ...]
 Level = list[int]
 
 
@@ -92,13 +91,6 @@ class ParityProfile(NamedTuple):
         # Exponent 1 means every pair, each vertex with itself included, is
         # adjacent: complete with a loop on every vertex.
         return self.exponent == 1
-
-
-class ParityDistances(NamedTuple):
-    """Shortest odd and shortest positive even walk lengths per ordered pair."""
-
-    odd: Matrix
-    even: Matrix
 
 
 class ExponentReport(NamedTuple):
@@ -220,35 +212,18 @@ def profile_of(g: Graph) -> ParityProfile:
     )
 
 
-def parity_distances(g: Graph) -> ParityDistances:
-    """Exact shortest odd and shortest positive even walk lengths, all pairs.
+def walk_levels(g: Graph) -> list[tuple[int, ...]]:
+    """The scan's levels ``W_0, ..., W_m``, row ``u`` of each the vertex ``u``.
 
-    The entries of a row at level ``k`` are the sources that level adds to
-    the latest level of its parity.
+    Bit ``v`` of row ``u`` of ``W_k`` is set iff some walk of length exactly
+    ``k`` joins ``u`` and ``v``.  Past the last level ``W_m`` the levels
+    repeat ``W_{m-1}, W_m`` with period two.
     """
     check_table_order(g.order)
-    n = g.order
-    odd = [[INF] * n for _ in range(n)]
-    even = [[INF] * n for _ in range(n)]
     levels = _levels(g)
-    units = next(levels)  # the empty walk is not a positive even walk
-    latest = [[0] * n, [0] * n]  # the latest even and odd level
-    for k, level in enumerate(levels, 1):
-        table = odd if k % 2 else even
-        # A level contains the one two before it: XOR leaves the new sources.
-        fresh = list(map(xor, level, latest[k % 2]))
-        for row, bits in compress(zip(table, fresh), fresh):
-            while bits:
-                v = bits.bit_length() - 1
-                row[v] = k
-                bits ^= 1 << v
-        latest[k % 2] = level
-    # The tables were filled in row order.
-    rank = _rank(units)
-    return ParityDistances(
-        odd=tuple(tuple(odd[r]) for r in rank),
-        even=tuple(tuple(even[r]) for r in rank),
-    )
+    units = next(levels)
+    in_vertex_order = _gather(_rank(units))
+    return [tuple(in_vertex_order(level)) for level in chain([units], levels)]
 
 
 def _bfs_levels(g: Graph, sources: Iterable[int]) -> Iterator[Level]:
@@ -296,31 +271,11 @@ def _reach(g: Graph) -> Iterator[Level]:
         rows = step
 
 
-def distance_matrix(g: Graph) -> Matrix:
-    """All-pairs graph distances; INF marks unreachable pairs.
-
-    The entries of a row at distance ``k`` are the bits that ``R_k`` adds.
-    """
-    check_table_order(g.order)
-    n = g.order
-    dist = [[INF] * n for _ in range(n)]
-    before = [0] * n
-    for k, rows in enumerate(_reach(g)):
-        fresh = list(map(xor, rows, before))
-        for row, bits in compress(zip(dist, fresh), fresh):
-            while bits:
-                v = bits.bit_length() - 1
-                row[v] = k
-                bits ^= 1 << v
-        before = rows
-    return tuple(map(tuple, dist))
-
-
 def diameter(g: Graph) -> ExtLen:
     """Largest pairwise distance; INF iff the graph is disconnected.
 
-    The first ``k`` at which every reach row is full; no n x n table is
-    built, and the all-pairs size guard bounds the n-bit rows.
+    The first ``k`` at which every reach row is full; the all-pairs size
+    guard bounds the n-bit rows.
     """
     check_table_order(g.order)
     full = (1 << g.order) - 1
@@ -372,11 +327,6 @@ def odd_girth(g: Graph) -> ExtLen:
     the first odd level at which a vertex reaches itself.
     """
     return profile_of(g).odd_girth
-
-
-def local_exponent(pd: ParityDistances, u: int, v: int) -> ExtLen:
-    """Least length from which ``(u, v)``-walks of every longer length exist."""
-    return max(pd.odd[u][v], pd.even[u][v]) - 1
 
 
 def exponent(g: Graph) -> ExponentReport:

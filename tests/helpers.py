@@ -40,8 +40,8 @@ def walk_reach(g: Graph, max_len: int) -> list[list[list[bool]]]:
 def dp_parity_minima(g: Graph, max_len: int):
     """Shortest odd/even walk lengths by explicit enumeration up to max_len.
 
-    Length 0 is excluded on the even diagonal, matching the convention of
-    the parity-distance computation under test.
+    Length 0 is excluded on the even diagonal: the empty walk is not a
+    positive even walk.
     """
     n = g.order
     layers = walk_reach(g, max_len)
@@ -73,8 +73,6 @@ def walk_profile(g: Graph) -> dict:
     gamma = max(odd_span, even_span) - 1
     witness = pairs[longer.index(gamma + 1)]
     return {
-        "odd": tuple(map(tuple, odd)),
-        "even": tuple(map(tuple, even)),
         "order": n,
         "connected": diam != INF,
         "bipartite": girth == INF,

@@ -28,13 +28,17 @@ from kronwalk import (
     make_h_family,
     make_path,
     oracle_exponent,
-    parity_distances,
     predict_diameter,
     random_graph,
     summarize,
 )
 
-from helpers import ACCEPT_SEED, enumerate_graphs, random_connected_graph
+from helpers import (
+    ACCEPT_SEED,
+    dp_parity_minima,
+    enumerate_graphs,
+    random_connected_graph,
+)
 
 
 def _report(criterion, label, detail, started):
@@ -213,14 +217,14 @@ def test_criterion_9_parity_extremal_pairs():
     checked = 0
     for g in pool:
         gamma = exponent(g).gamma
-        pd = parity_distances(g)
         n = g.order
+        odd, even = dp_parity_minima(g, 2 * n)
         pairs = [(u, v) for u in range(n) for v in range(n)]
         if gamma % 2:
-            assert any(pd.odd[u][v] == gamma for u, v in pairs), g
-            assert any(pd.even[u][v] == gamma + 1 for u, v in pairs if u != v), g
+            assert any(odd[u][v] == gamma for u, v in pairs), g
+            assert any(even[u][v] == gamma + 1 for u, v in pairs if u != v), g
         else:
-            assert any(pd.even[u][v] == gamma for u, v in pairs if u != v), g
-            assert any(pd.odd[u][v] == gamma + 1 for u, v in pairs), g
+            assert any(even[u][v] == gamma for u, v in pairs if u != v), g
+            assert any(odd[u][v] == gamma + 1 for u, v in pairs), g
         checked += 1
     _report(9, "parity-extremal pair existence", f"{checked} primitive graphs", started)

@@ -190,6 +190,54 @@ def test_closed_form_claims_catch_a_broken_route(monkeypatch, claim_id, name, mu
     assert outcome.counterexample is not None
 
 
+def _product_levels_two_behind(monkeypatch):
+    # Level k of every built product reads level k - 2, from level 3 on.
+    built = []
+    real_product, real_levels = claims.kronecker_product, claims.walk_levels
+
+    def product(g1, g2):
+        built.append(real_product(g1, g2))
+        return built[-1]
+
+    def levels(g):
+        scan = real_levels(g)
+        return [*scan[:3], *scan[1:-2]] if any(g is p for p in built) else scan
+
+    monkeypatch.setattr(claims, "kronecker_product", product)
+    monkeypatch.setattr(claims, "walk_levels", levels)
+
+
+def _reach_a_step_ahead(monkeypatch):
+    real = claims._reach
+    monkeypatch.setattr(claims, "_reach", lambda g: itertools.islice(real(g), 1, None))
+
+
+def _scan_a_level_short(monkeypatch):
+    real = claims.walk_levels
+    monkeypatch.setattr(claims, "walk_levels", lambda g: real(g)[:-1])
+
+
+def _powers_a_step_ahead(monkeypatch):
+    real = claims.bool_mul
+    monkeypatch.setattr(claims, "bool_mul", lambda a, b: real(real(a, b), b))
+
+
+@pytest.mark.parametrize(
+    "claim_id, mutate",
+    [
+        ("Lem2.5", _product_levels_two_behind),  # the truth
+        ("Lem2.7", _reach_a_step_ahead),  # the truth
+        ("Lem2.2", _scan_a_level_short),  # the periodic extension
+        ("Lem2.2", _powers_a_step_ahead),  # the boolean route
+    ],
+    ids=lambda p: p if isinstance(p, str) else p.__name__.strip("_"),
+)
+def test_walk_lemma_claims_catch_a_broken_scan(monkeypatch, claim_id, mutate):
+    mutate(monkeypatch)
+    (outcome,) = run_campaign([claim_id], SMALL, seed=0)
+    assert outcome.counterexample is not None
+
+
 @pytest.mark.parametrize("pair", [(Graph(1), make_cycle(3)), (Graph(1), Graph(1))])
 def test_connectivity_claim_holds_on_a_bare_vertex_factor(pair):
     # The minimizer can shrink a factor to one vertex without a loop.

@@ -16,7 +16,6 @@ from kronwalk import (
     exponent,
     l_o_bound,
     make_cycle,
-    parity_distances,
     predict_diameter,
     summarize,
 )
@@ -45,7 +44,6 @@ def _records():
     return [
         adjacency(make_cycle(3)),
         c5,
-        parity_distances(make_cycle(3)),
         exponent(make_cycle(5)),
         l_o_bound(make_cycle(5)),
         diameter_bounds(c5, c5),

@@ -8,9 +8,10 @@ closed forms (in ``predict``) from the same factor profiles, so ``kronecker``
 may not import ``predict``.  Imports are read from the syntax tree, so an
 import inside a function counts too.
 
-Within ``walks``, the reach scan behind ``diameter`` and ``distance_matrix``
-is the ground truth on every built product, which the parity level scan
-behind the profiles is checked against, so neither scan names the other.
+Within ``walks``, the reach scan behind ``diameter`` is the ground truth on
+every built product, which the parity level scan behind the profiles and
+``walk_levels`` is checked against, so neither scan names the other.  The
+harness's walk-lemma checkers take that truth from the built product.
 """
 
 import ast
@@ -67,14 +68,29 @@ def _names_in_function(module: str, function: str) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("function", ["diameter", "distance_matrix", "_reach"])
+@pytest.mark.parametrize("function", ["diameter", "_reach"])
 def test_distances_never_read_the_parity_scan(function):
     names = _names_in_function("walks", function)
-    assert not names & {"_levels", "profile_of", "parity_distances"}
+    assert not names & {"_levels", "profile_of", "walk_levels"}
 
 
 def test_parity_scan_never_reads_the_reach_scan():
     assert "_reach" not in _names_in_function("walks", "_levels")
+    assert "_reach" not in _names_in_function("walks", "walk_levels")
+
+
+@pytest.mark.parametrize(
+    "checker, truth",
+    [
+        ("_check_walk_combination", {"kronecker_product", "walk_levels"}),
+        ("_check_mixed_parity_lower_bound", {"kronecker_product", "_reach"}),
+    ],
+    ids=["Lem2.5", "Lem2.7"],
+)
+def test_walk_lemmas_read_the_built_product(checker, truth):
+    # Lem2.5 scans the built product's walks; Lem2.7 reads the built
+    # product's distances off the reach scan, never off the factor levels.
+    assert truth <= _names_in_function("harness/claims", checker)
 
 
 def test_the_reader_sees_each_scan_where_it_runs():

@@ -18,8 +18,7 @@ from kronwalk import make_complete, make_cycle, summarize
 from kronwalk.harness import with_all_loops
 
 TRAVERSALS = (
-    "profile_of", "parity_distances", "distance_matrix", "diameter", "is_connected",
-    "is_bipartite",
+    "profile_of", "walk_levels", "diameter", "is_connected", "is_bipartite",
 )
 PROFILE = ("profile_of", "summarize")
 BRUTE_FORCE = ("diameter", "_product_diameter")
@@ -89,9 +88,13 @@ def test_k_plus_check_runs_no_traversal_of_its_factors(traversals, pair):
     "pair", [(make_cycle(5), make_cycle(3)), (make_complete(2), make_cycle(3))]
 )
 def test_mixed_parity_check_gates_on_the_parity_tables(traversals, pair):
+    # The primitivity gate reads each factor's profile, and stops at K2; past
+    # it, the bound reads each factor's walk levels.
     assert claims.REGISTRY["Lem2.7"].check(pair) is None
-    names = [name for name, _ in traversals]
-    assert "is_connected" not in names and "is_bipartite" not in names
+    levels = ("walk_levels", "_recall")
+    primitive = pair[0].order > 2
+    expected = [PROFILE, PROFILE, levels, levels] if primitive else [PROFILE]
+    assert traversals == expected
 
 
 @pytest.fixture

@@ -12,12 +12,10 @@ from kronwalk import (
     Graph,
     ParityProfile,
     diameter,
-    distance_matrix,
     exponent,
     is_bipartite,
     is_connected,
     is_k_plus,
-    local_exponent,
     make_complete,
     make_complete_multipartite,
     make_cycle,
@@ -26,14 +24,15 @@ from kronwalk import (
     make_path,
     odd_girth,
     oracle_exponent,
-    parity_distances,
     random_graph,
     summarize,
 )
-from kronwalk.walks import eccentricity
+from kronwalk.harness.claims import _level
+from kronwalk.walks import _reach, eccentricity, walk_levels
 
 from helpers import (
     dp_distances,
+    dp_parity_minima,
     enumerate_graphs,
     graphs,
     labeled_graphs,
@@ -49,29 +48,54 @@ def test_dp_oracle_on_triangle():
     assert [reach[k][0][0] for k in range(5)] == [True, False, True, True, True]
 
 
+def _walk_lengths(g, u, v, horizon):
+    """The lengths ``k <= horizon`` of ``(u, v)``-walks, off the level reader."""
+    levels = walk_levels(g)
+    return [k for k in range(horizon + 1) if _level(levels, k)[u] >> v & 1]
+
+
+def _local_exponents(g):
+    """Per pair, the least k from which walks of every length exist, off the levels.
+
+    Past ``W_0`` each level lies within the one two after it, so a pair in
+    ``W_k`` and ``W_{k+1}`` has walks of every length from ``k`` on.
+    """
+    levels = walk_levels(g)
+    n = g.order
+    local = [[INF] * n for _ in range(n)]
+    for k in range(len(levels), 0, -1):
+        for row, now, then in zip(local, _level(levels, k), _level(levels, k + 1)):
+            for v in range(n):
+                if (now & then) >> v & 1:
+                    row[v] = k
+    return local
+
+
 def test_parity_examples():
-    pd = parity_distances(make_path(3))
-    assert pd.even[0][2] == 2 and pd.odd[0][2] == INF
-
-    pd = parity_distances(make_cycle(3))
-    assert pd.even[0][0] == 2 and pd.odd[0][0] == 3
-
-    pd = parity_distances(make_complete(1, with_loops=True))
-    assert pd.odd[0][0] == 1 and pd.even[0][0] == 2
+    # The shortest even walk of path:3's ends has length 2, and no odd one.
+    assert _walk_lengths(make_path(3), 0, 2, 6) == [2, 4, 6]
+    # C3: a vertex returns to itself by even walks from 2 and odd ones from 3.
+    assert _walk_lengths(make_cycle(3), 0, 0, 5) == [0, 2, 3, 4, 5]
+    assert _walk_lengths(make_complete(1, with_loops=True), 0, 0, 3) == [0, 1, 2, 3]
 
 
 def _assert_scan_matches_walk_enumeration(g):
-    # Both readers of the level scan, tables and the whole profile with its
-    # spans and witness, against the definitions evaluated on enumerated walks.
-    expected = walk_profile(g)
-    pd = parity_distances(g)
-    assert (pd.odd, pd.even) == (expected.pop("odd"), expected.pop("even"))
-    assert summarize(g) == ParityProfile(**expected)
+    # Both readers of the level scan, the levels with their periodic
+    # extension and the whole profile with its spans and witness, against
+    # the definitions evaluated on enumerated walks.
+    n = g.order
+    horizon = 2 * n + 2
+    reach = walk_reach(g, horizon)
+    levels = walk_levels(g)
+    for k in range(horizon + 1):
+        rows = [[bool(row >> v & 1) for v in range(n)] for row in _level(levels, k)]
+        assert rows == reach[k], k
+    assert summarize(g) == ParityProfile(**walk_profile(g))
 
 
 @given(graphs(max_order=6))
 @settings(max_examples=200, deadline=None)
-def test_parity_distances_match_walk_enumeration(g):
+def test_walk_levels_match_walk_enumeration(g):
     _assert_scan_matches_walk_enumeration(g)
 
 
@@ -165,20 +189,25 @@ def test_star_profile_at_the_table_limit(centre_loop, expected):
 @given(graphs(max_order=6))
 @settings(max_examples=100, deadline=None)
 def test_parity_matrices_symmetric_and_distance_consistent(g):
-    pd = parity_distances(g)
-    dist = distance_matrix(g)
+    # Each level is a symmetric matrix, and from k = 1 on the vertices
+    # within distance k of u are u itself and the levels k and k - 1 of
+    # u's row: the latest of each parity.
+    levels = walk_levels(g)
+    reach = list(_reach(g))
     n = g.order
-    for u in range(n):
-        for v in range(n):
-            assert pd.odd[u][v] == pd.odd[v][u]
-            assert pd.even[u][v] == pd.even[v][u]
-            if pd.odd[u][v] != INF:
-                assert pd.odd[u][v] % 2 == 1
-            if pd.even[u][v] != INF:
-                assert pd.even[u][v] % 2 == 0
-                assert u != v or pd.even[u][v] >= 2
-            if u != v:
-                assert min(pd.odd[u][v], pd.even[u][v]) == dist[u][v]
+    for k in range(max(len(levels), len(reach)) + 1):
+        level = _level(levels, k)
+        assert all(
+            (level[u] >> v & 1) == (level[v] >> u & 1)
+            for u in range(n)
+            for v in range(n)
+        )
+        if k:
+            within = [
+                now | before | 1 << u
+                for u, (now, before) in enumerate(zip(level, _level(levels, k - 1)))
+            ]
+            assert reach[min(k, len(reach) - 1)] == within, k
 
 
 def test_distance_and_diameter():
@@ -194,12 +223,18 @@ def test_distance_and_diameter():
 @settings(max_examples=150, deadline=None)
 def test_diameter_is_the_largest_entry_of_the_distance_table(g):
     # Random masks leave many of these graphs disconnected.
-    assert diameter(g) == max(map(max, distance_matrix(g)))
+    assert diameter(g) == max(map(max, dp_distances(g)))
 
 
 def _assert_distances_match_walk_enumeration(g):
+    # Row u of the reach scan's step k holds the vertices within distance k;
+    # past its last step the rows stay as they are.
     dist = dp_distances(g)
-    assert distance_matrix(g) == tuple(map(tuple, dist))
+    reach = list(_reach(g))
+    n = g.order
+    for k in range(n):
+        within = [sum(1 << v for v in range(n) if dist[u][v] <= k) for u in range(n)]
+        assert reach[min(k, len(reach) - 1)] == within, k
     assert diameter(g) == max(map(max, dist))
 
 
@@ -243,11 +278,10 @@ def test_bipartite_iff_infinite_odd_girth(g):
 
 
 def test_local_exponent_examples():
-    pd = parity_distances(make_cycle(3))
-    assert local_exponent(pd, 0, 1) == 1
-    assert local_exponent(pd, 0, 0) == 2
-    pd = parity_distances(make_path(3))
-    assert local_exponent(pd, 0, 2) == INF
+    local = _local_exponents(make_cycle(3))
+    assert local[0][1] == 1
+    assert local[0][0] == 2
+    assert _local_exponents(make_path(3))[0][2] == INF
 
 
 def test_exponent_examples():
@@ -261,11 +295,10 @@ def test_exponent_examples():
 def test_exponent_report_structure():
     g = make_cycle(5)
     rep = exponent(g)
-    pd = parity_distances(g)
     n = g.order
     u, v = rep.witness_pair
-    assert local_exponent(pd, u, v) == rep.gamma
-    local = [[local_exponent(pd, a, b) for b in range(n)] for a in range(n)]
+    local = _local_exponents(g)
+    assert local[u][v] == rep.gamma
     assert rep.gamma == max(max(row) for row in local)
     # the witness is the first attaining pair in row-major order
     assert all(local[a][b] < rep.gamma for a in range(n) for b in range(n)
@@ -295,10 +328,10 @@ def test_local_exponent_tight_against_walk_enumeration(g):
     # step below it, per direct enumeration.
     horizon = 2 * g.order + 2
     reach = walk_reach(g, horizon)
-    pd = parity_distances(g)
+    local = _local_exponents(g)
     for u in range(g.order):
         for v in range(g.order):
-            value = local_exponent(pd, u, v)
+            value = local[u][v]
             if value == INF:
                 assert not (reach[horizon][u][v] and reach[horizon - 1][u][v])
                 continue
@@ -318,8 +351,8 @@ def test_primitive_exponent_at_most_twice_diameter(g):
 @given(graphs(max_order=6))
 @settings(max_examples=100, deadline=None)
 def test_odd_girth_is_min_odd_diagonal(g):
-    pd = parity_distances(g)
-    assert odd_girth(g) == min(pd.odd[v][v] for v in range(g.order))
+    odd, _ = dp_parity_minima(g, 2 * g.order)
+    assert odd_girth(g) == min(odd[v][v] for v in range(g.order))
 
 
 def test_parity_extremal_pairs_small_exhaustive():
@@ -331,30 +364,30 @@ def test_parity_extremal_pairs_small_exhaustive():
             if not is_connected(g) or is_bipartite(g):
                 continue
             gamma = exponent(g).gamma
-            pd = parity_distances(g)
+            odd, even = dp_parity_minima(g, 2 * n)
             pairs = [(u, v) for u in range(n) for v in range(n)]
             if gamma % 2:
-                assert any(pd.odd[u][v] == gamma for u, v in pairs)
-                assert any(pd.even[u][v] == gamma + 1 for u, v in pairs if u != v)
+                assert any(odd[u][v] == gamma for u, v in pairs)
+                assert any(even[u][v] == gamma + 1 for u, v in pairs if u != v)
             else:
-                assert any(pd.even[u][v] == gamma for u, v in pairs if u != v)
-                assert any(pd.odd[u][v] == gamma + 1 for u, v in pairs)
+                assert any(even[u][v] == gamma for u, v in pairs if u != v)
+                assert any(odd[u][v] == gamma + 1 for u, v in pairs)
 
 
 def _assert_profile_matches_independent_routes(g):
     s = summarize(g)
-    pd = parity_distances(g)
     n = g.order
+    odd, even = dp_parity_minima(g, 2 * n)
     assert s.order == n
     assert s.connected == is_connected(g)
     assert s.bipartite == is_bipartite(g)
     assert s.diameter == diameter(g)
-    assert s.odd_girth == min(pd.odd[v][v] for v in range(n))
+    assert s.odd_girth == min(odd[v][v] for v in range(n))
     assert s.exponent == oracle_exponent(g)
     assert (s.exponent == 1) == s.is_k_plus == is_k_plus(g)
     first = next(
         ((u, v) for u in range(n) for v in range(n)
-         if local_exponent(pd, u, v) == s.exponent),
+         if max(odd[u][v], even[u][v]) - 1 == s.exponent),
         None,
     )
     assert s.witness_pair == (first if s.exponent != INF else None)
@@ -372,13 +405,11 @@ def test_profile_matches_independent_routes(g):
     _assert_profile_matches_independent_routes(g)
 
 
-@pytest.mark.parametrize(
-    "table", [parity_distances, distance_matrix, diameter, summarize]
-)
+@pytest.mark.parametrize("table", [walk_levels, diameter, summarize])
 def test_all_pairs_tables_refuse_above_the_table_limit(monkeypatch, table):
     # Under a small limit, and with the reach scan and the level scan
-    # refusing to start, each table must refuse the order before it runs a
-    # single step.
+    # refusing to start, each all-pairs scan must refuse the order before it
+    # runs a single step.
     monkeypatch.setattr(graphs_module, "MAX_TABLE_ORDER", 5)
     table(make_path(5))
 
