@@ -130,7 +130,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         "l_o_exact": None,
     }
     if s.connected:
-        bound = l_o_bound(g, cap=args.cap_cycles)
+        bound = l_o_bound(g, s, cap=args.cap_cycles)
         document["l_o"] = to_json(bound.l_o)
         document["l_o_exact"] = bound.exact
     _emit(document)
@@ -257,8 +257,7 @@ def _write_output(path: str, g: Graph, fmt: str) -> None:
         write_graph(path, g)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(graph_to_json(g), handle, sort_keys=True)
-            handle.write("\n")
+            handle.write(json.dumps(graph_to_json(g), sort_keys=True) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):

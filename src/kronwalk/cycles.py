@@ -12,10 +12,10 @@ vertices with at most one neighbour besides themselves are peeled until none
 is left, since every vertex of such a cycle keeps its two cycle neighbours.
 A cycle is scored by one breadth-first search from all its vertices at once
 (:func:`walks.eccentricity`), cut off at the depth from which its value could
-no longer beat the best so far, so the bound builds no all-pairs table.  The
-first cycle's search has no cut-off, so it also shows whether the graph is
-connected.  A bipartite graph has no odd cycle, so the bound answers it after
-a two-colouring search, without walking the 2-core's paths.
+no longer beat the best so far, so the bound builds no all-pairs table.
+Whether the graph is connected and whether it is bipartite are read off the
+caller's parity profile: the bound refuses a disconnected graph, and answers
+a bipartite one, which has no odd cycle, without walking the 2-core's paths.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .extlen import INF, ExtLen
 from .graphs import Graph
-from .walks import eccentricity, is_bipartite, is_connected
+from .walks import ParityProfile, eccentricity
 
 DEFAULT_CYCLE_CAP = 100_000
 
@@ -107,18 +107,21 @@ def enumerate_odd_cycles(g: Graph) -> Iterator[OddCycle]:
             yield from _simple_cycles_from(core, anchor)
 
 
-def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
+def l_o_bound(
+    g: Graph, profile: ParityProfile, cap: int = DEFAULT_CYCLE_CAP
+) -> CycleBoundReport:
     """Minimum of ``2 * ecc(C) + |C| - 1`` over enumerated odd cycles.
 
-    INF for bipartite graphs.  When the cap truncates enumeration the report
-    is marked inexact, but the value is still a valid upper bound on the
-    exponent because every individual cycle's value is one.
+    ``profile`` is the parity profile of ``g``.  INF for bipartite graphs.
+    When the cap truncates enumeration the report is marked inexact, but the
+    value is still a valid upper bound on the exponent because every
+    individual cycle's value is one.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if is_bipartite(g):
-        if not is_connected(g):
-            raise ValueError("graph must be connected")
+    if not profile.connected:
+        raise ValueError("graph must be connected")
+    if profile.bipartite:
         return CycleBoundReport(
             l_o=INF, best_cycle=None, exact=True, cycles_considered=0
         )
@@ -141,9 +144,6 @@ def l_o_bound(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> CycleBoundReport:
         if ecc is not None:
             best = 2 * ecc + len(cycle) - 1
             best_cycle = cycle
-        elif best == INF:
-            # The first scored cycle has no depth limit: a vertex is unreachable.
-            raise ValueError("graph must be connected")
     return CycleBoundReport(
         l_o=best, best_cycle=best_cycle, exact=exact, cycles_considered=considered
     )

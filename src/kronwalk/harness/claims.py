@@ -179,13 +179,6 @@ def _level(levels: Levels, k: int) -> tuple[int, ...]:
     return levels[k if k <= last else last - (k - last) % 2]
 
 
-def _latest(levels: Levels, k: int, first: int) -> BoolMatrix:
-    """The last of ``W_first, W_first+2, ...`` up to ``k``; zero rows before ``first``."""
-    n = len(levels[0])
-    j = k - (k - first) % 2
-    return BoolMatrix(n, _level(levels, j) if j >= first else (0,) * n)
-
-
 def _product_diameter(g1: Graph, g2: Graph) -> ExtLen:
     return diameter(kronecker_product(g1, g2))
 
@@ -351,7 +344,7 @@ _closed_form_claim(
     "product of connected factors is connected iff a factor has an odd cycle",
     _pair_instances,
     _product_connected,
-)(product_is_connected)
+)(lambda g1, g2: product_is_connected(_summarize(g1), _summarize(g2)))
 
 
 @_claim(
@@ -408,24 +401,25 @@ def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
     # A product pair within distance k needs, in one factor, a walk of one
     # parity and length at most k and, in the other, one of the other
     # parity: bits of (O1 x all | all x E2) & (E1 x all | all x O2) for the
-    # latest odd and positive even factor levels O and E up to k.
+    # latest odd and positive even factor levels O and E up to k.  Spread over
+    # blocks of n2 bits (g1's rows) or tiled n1 times (g2's), row (x1, x2) of
+    # that is (O1[x1] | E2[x2]) & (E1[x1] | O2[x2]).
     g1, g2 = instance
     if not all(is_finite(_summarize(g).exponent) for g in instance):
         return None  # a factor is not primitive
     levels1, levels2 = _walk_levels(g1), _walk_levels(g2)
     n1, n2 = g1.order, g2.order
-    all1, all2 = (BoolMatrix(n, ((1 << n) - 1,) * n) for n in (n1, n2))
+    block, tile = (1 << n2) - 1, sum(1 << y * n2 for y in range(n1))
+    latest = [([0] * n1, [0] * n2)] * 2  # even, odd; step k renews k's parity
     for k, reached in enumerate(_reach(kronecker_product(g1, g2))):
-        o1, o2 = (_latest(levels, k, 1) for levels in (levels1, levels2))
-        e1, e2 = (_latest(levels, k, 2) for levels in (levels1, levels2))
-        allowed = zip(
-            kron_matrix(o1, all2).rows,
-            kron_matrix(all1, e2).rows,
-            kron_matrix(e1, all2).rows,
-            kron_matrix(all1, o2).rows,
-        )
-        for x, (row, (a, b, c, d)) in enumerate(zip(reached, allowed)):
-            close = row & ~((a | b) & (c | d)) & ~(1 << x)
+        if k:
+            spread = [sum(block << y * n2 for y in range(n1) if r >> y & 1)
+                      for r in _level(levels1, k)]
+            latest[k % 2] = (spread, [r * tile for r in _level(levels2, k)])
+        (e1, e2), (o1, o2) = latest
+        allowed = [(o | f) & (e | p) for o, e in zip(o1, e1) for p, f in zip(o2, e2)]
+        for x, (row, ok) in enumerate(zip(reached, allowed)):
+            close = row & ~ok & ~(1 << x)
             if close:
                 pair = f"{divmod(x, n2)} -> {divmod(close.bit_length() - 1, n2)}"
                 return Failure(f"> {k}", k, f"product pair {pair} too close")
@@ -447,7 +441,7 @@ def _check_l_o_bound(instance: Instance) -> Failure | None:
     if g.order < 2 or not s.connected:
         return None
     gamma = s.exponent
-    report = l_o_bound(g)
+    report = l_o_bound(g, s)
     # Truncated enumeration still yields a valid upper bound.
     if gamma > report.l_o:
         return Failure(f"<= {report.l_o}", gamma, "exponent exceeds the cycle bound")

@@ -10,16 +10,17 @@ by row: the neighbours of ``(a, b)`` are the pairs of a neighbour of ``a``
 and a neighbour of ``b``.
 
 A product walk is a pair of factor walks of the same length, so the
-product's order, edge count and diameter follow from the factors alone:
-:func:`product_diameter` reads the diameter off the two factors' parity
-profiles, four numbers each, without building the product or any table.
+product's order, edge count, diameter and connectivity follow from the
+factors alone: :func:`product_diameter` and :func:`product_is_connected`
+read them off the two factors' parity profiles, without building the
+product or any table.
 """
 
 from __future__ import annotations
 
 from .extlen import INF, ExtLen
 from .graphs import Graph, check_edges, check_order
-from .walks import ParityProfile, is_bipartite, is_connected
+from .walks import ParityProfile
 
 
 def kronecker_product(g1: Graph, g2: Graph) -> Graph:
@@ -72,16 +73,19 @@ def product_diameter(s1: ParityProfile, s2: ParityProfile) -> ExtLen:
     return max(s1.diameter, s2.diameter, min(e1, o2), min(o1, e2))
 
 
-def product_is_connected(g1: Graph, g2: Graph) -> bool:
-    """Connectivity of the product of two connected factors.
+def product_is_connected(s1: ParityProfile, s2: ParityProfile) -> bool:
+    """Connectivity of the product of the connected factors with these profiles.
 
     The product is connected exactly when at least one factor contains an
-    odd cycle, so no product needs to be built.  A factor with no edge is
-    a bare vertex, which leaves every product vertex isolated: that product
-    is connected only when it is a single vertex.
+    odd cycle, so no product needs to be built.  A connected factor with no
+    edge is a bare vertex (order one and bipartite), which leaves every
+    product vertex isolated: that product is connected only when it is a
+    single vertex.
     """
-    if not is_connected(g1) or not is_connected(g2):
+    if not s1.connected or not s2.connected:
         raise ValueError("both factors must be connected")
-    if g1.edge_count == 0 or g2.edge_count == 0:
-        return g1.order * g2.order == 1
-    return not is_bipartite(g1) or not is_bipartite(g2)
+    if s1.order * s2.order == 1:
+        return True
+    if any(s.order == 1 and s.bipartite for s in (s1, s2)):
+        return False
+    return not s1.bipartite or not s2.bipartite

@@ -147,14 +147,14 @@ def test_criterion_5_cycle_bound():
         for g in enumerate_graphs(n):
             if not is_connected(g):
                 continue
-            report = l_o_bound(g)
+            report = l_o_bound(g, summarize(g))
             assert report.exact
             assert exponent(g).gamma <= report.l_o, g
             checked += 1
     rng = random.Random(ACCEPT_SEED + 5)
     for _ in range(300):
         g = random_connected_graph(rng, max_order=8)
-        report = l_o_bound(g)
+        report = l_o_bound(g, summarize(g))
         assert report.exact
         assert exponent(g).gamma <= report.l_o, g
         checked += 1

@@ -16,6 +16,7 @@ from kronwalk import (
     make_h_family,
     make_path,
     odd_girth,
+    summarize,
 )
 from kronwalk.cycles import DEFAULT_CYCLE_CAP
 
@@ -61,42 +62,60 @@ def test_long_cycle_enumerates_without_recursion():
     assert list(enumerate_odd_cycles(make_cycle(999))) == [tuple(range(999))]
 
 
+def _bound(g, cap=DEFAULT_CYCLE_CAP):
+    # The bound reads connectivity and bipartiteness off the caller's profile.
+    return l_o_bound(g, summarize(g), cap)
+
+
 def test_eccentricity_examples():
     # 2 * ecc(C) + |C| - 1 with the only odd cycle as C: ecc 0, 2 and 3.
-    assert l_o_bound(make_cycle(5)).best_cycle == (0, 1, 2, 3, 4)
-    report = l_o_bound(make_f_family(5, 3))
+    c5 = make_cycle(5)
+    assert l_o_bound(c5, summarize(c5)).best_cycle == (0, 1, 2, 3, 4)
+    report = _bound(make_f_family(5, 3))
     assert (report.l_o, report.best_cycle) == (6, (2, 3, 4))
-    report = l_o_bound(make_h_family(6, 3))
+    report = _bound(make_h_family(6, 3))
     assert (report.l_o, report.best_cycle) == (8, (3, 4, 5))
 
 
 def test_bound_examples():
-    assert l_o_bound(make_cycle(5)).l_o == 4
-    report = l_o_bound(make_f_family(5, 3))
+    assert _bound(make_cycle(5)).l_o == 4
+    report = _bound(make_f_family(5, 3))
     assert report.l_o == 6 and report.best_cycle == (2, 3, 4)
-    assert l_o_bound(make_cycle(6)).l_o == INF
+    assert _bound(make_cycle(6)).l_o == INF
 
 
 def test_bound_requires_connected():
     with pytest.raises(ValueError, match="connected"):
-        l_o_bound(Graph(4, [(0, 1), (2, 3)]))
+        _bound(Graph(4, [(0, 1), (2, 3)]))
     # an order-one graph is connected: no cycle, or its loop
-    assert l_o_bound(Graph(1)).l_o == INF
-    report = l_o_bound(Graph(1, [(0, 0)]))
+    assert _bound(Graph(1)).l_o == INF
+    report = _bound(Graph(1, [(0, 0)]))
     assert (report.l_o, report.best_cycle) == (0, (0,))
 
 
 @pytest.mark.parametrize("cap", [0, -1])
 def test_bound_rejects_cap_below_one(cap):
     with pytest.raises(ValueError, match="cap"):
-        l_o_bound(make_cycle(5), cap=cap)
+        _bound(make_cycle(5), cap=cap)
+
+
+def test_bound_reads_the_callers_profile():
+    # The profile alone says whether the graph is connected and bipartite:
+    # a profile that calls C5 disconnected is refused, and one that calls it
+    # bipartite gets the bipartite answer with no cycle scored.
+    c5 = make_cycle(5)
+    s = summarize(c5)
+    with pytest.raises(ValueError, match="connected"):
+        l_o_bound(c5, s._replace(connected=False))
+    report = l_o_bound(c5, s._replace(bipartite=True))
+    assert tuple(report) == (INF, None, True, 0)
 
 
 def test_loop_cycles_feed_the_bound():
     # a loop at one end of a path: the bound is twice that vertex's
     # eccentricity
     g = Graph(3, [(0, 0), (0, 1), (1, 2)])
-    report = l_o_bound(g)
+    report = _bound(g)
     assert report.best_cycle == (0,)
     assert report.l_o == 4
     assert exponent(g).gamma <= report.l_o
@@ -104,8 +123,8 @@ def test_loop_cycles_feed_the_bound():
 
 def test_truncated_bound_is_still_an_upper_bound():
     g = make_complete(5)
-    full = l_o_bound(g)
-    capped = l_o_bound(g, cap=3)
+    full = _bound(g)
+    capped = _bound(g, cap=3)
     assert full.exact and not capped.exact
     assert capped.cycles_considered == 3
     assert capped.l_o >= full.l_o
@@ -114,7 +133,7 @@ def test_truncated_bound_is_still_an_upper_bound():
 
 def test_best_cycle_deterministic():
     g = make_complete(5)
-    assert l_o_bound(g).best_cycle == l_o_bound(g).best_cycle == (0, 1, 2)
+    assert _bound(g).best_cycle == _bound(g).best_cycle == (0, 1, 2)
 
 
 @given(graphs(min_order=2, max_order=6))
@@ -122,7 +141,7 @@ def test_best_cycle_deterministic():
 def test_exponent_bounded_by_cycle_bound(g):
     if not is_connected(g):
         return
-    report = l_o_bound(g)
+    report = _bound(g)
     assert report.exact
     assert exponent(g).gamma <= report.l_o
     assert (report.l_o == INF) == (odd_girth(g) == INF)
@@ -141,7 +160,7 @@ def test_cycles_that_cannot_win_are_not_scored(monkeypatch):
         return real(g, cycle, limit)
 
     monkeypatch.setattr(cycles, "eccentricity", counted)
-    report = l_o_bound(make_complete(8))
+    report = _bound(make_complete(8))
     assert scored == [(0, 1, 2)]
     assert report.cycles_considered > 1
     assert (report.l_o, report.best_cycle, report.exact) == (4, (0, 1, 2), True)
@@ -159,19 +178,15 @@ def test_bound_refuses_every_disconnected_graph(monkeypatch):
     with_cycle = [g for g in disconnected if list(enumerate_odd_cycles(g))]
     bipartite = [g for g in disconnected if not list(enumerate_odd_cycles(g))]
     assert with_cycle and bipartite
-    for g in bipartite:
-        with pytest.raises(ValueError, match="connected"):
-            l_o_bound(g)
+    # The profile refuses the graph before any cycle is enumerated or scored.
+    def no_search(*args):
+        raise AssertionError("cycle search on a disconnected graph")
 
-    # With an odd cycle, the first cycle's search finds the unreachable
-    # vertex, and no separate connectivity search runs.
-    def no_search(g):
-        raise AssertionError("connectivity searched on its own")
-
-    monkeypatch.setattr(cycles, "is_connected", no_search)
-    for g in with_cycle + [two_triangles]:
+    monkeypatch.setattr(cycles, "enumerate_odd_cycles", no_search)
+    monkeypatch.setattr(cycles, "eccentricity", no_search)
+    for g in bipartite + with_cycle + [two_triangles]:
         with pytest.raises(ValueError, match="connected"):
-            l_o_bound(g)
+            _bound(g)
 
 
 def _ensemble():
@@ -196,7 +211,7 @@ def _ensemble():
 
 def _assert_bound_is_brute_force(g):
     for cap in (1, 3, DEFAULT_CYCLE_CAP):
-        report = l_o_bound(g, cap=cap)
+        report = _bound(g, cap=cap)
         found = (report.l_o, report.best_cycle, report.exact, report.cycles_considered)
         assert found == brute_l_o_bound(g, cap), (g, cap)
 
@@ -222,7 +237,7 @@ def test_cycle_search_equals_brute_force_on_graphs_with_loops(g):
 def test_bound_is_infinite_exactly_without_an_odd_cycle():
     for g in labeled_graphs():
         if is_connected(g):
-            assert (l_o_bound(g).l_o == INF) == (not brute_odd_cycles(g)), g
+            assert (_bound(g).l_o == INF) == (not brute_odd_cycles(g)), g
 
 
 def test_bound_searches_no_cycle_on_a_bipartite_graph(monkeypatch):
@@ -236,7 +251,7 @@ def test_bound_searches_no_cycle_on_a_bipartite_graph(monkeypatch):
     k34 = Graph(7, [(u, v) for u in range(3) for v in range(3, 7)])
     for g in bipartite + [make_cycle(288), make_path(300), k34]:
         if is_connected(g):
-            assert tuple(l_o_bound(g, cap=1)) == (INF, None, True, 0), g
+            assert tuple(_bound(g, cap=1)) == (INF, None, True, 0), g
         else:
             with pytest.raises(ValueError, match="connected"):
-                l_o_bound(g)
+                _bound(g)

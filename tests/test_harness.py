@@ -160,6 +160,14 @@ def _negated(real):
     return lambda g: not real(g)
 
 
+def _flipped_bipartite(real):
+    def wrong(g):
+        s = real(g)
+        return s._replace(bipartite=not s.bipartite)
+
+    return wrong
+
+
 def _shifted_spans(odd, even):
     def mutate(real):
         def wrong(g):
@@ -179,6 +187,7 @@ def _shifted_spans(odd, even):
     [
         ("Prop1.1", "exponent", _off_by_one("gamma")),  # the brute force
         ("Lem2.4", "is_connected", _negated),  # the brute force
+        ("Lem2.4", "summarize", _flipped_bipartite),  # the closed form
         ("Thm3.4", "is_k_plus", _negated),  # the closed form
         ("CorK2", "summarize", _shifted_spans(1, 1)),  # the closed form
         ("ParityRoute", "summarize", _shifted_spans(2, 0)),  # the closed form

@@ -45,7 +45,7 @@ def _records():
         adjacency(make_cycle(3)),
         c5,
         exponent(make_cycle(5)),
-        l_o_bound(make_cycle(5)),
+        l_o_bound(make_cycle(5), c5),
         diameter_bounds(c5, c5),
         predict_diameter(c5, c5),
         EnsembleSpec(),

@@ -93,6 +93,18 @@ def test_walk_lemmas_read_the_built_product(checker, truth):
     assert truth <= _names_in_function("harness/claims", checker)
 
 
+@pytest.mark.parametrize(
+    "module, function", [("cycles", "l_o_bound"), ("kronecker", "product_is_connected")]
+)
+def test_connectivity_and_bipartiteness_come_from_the_profile(module, function):
+    # The factor's parity profile is the one source of both facts, so the
+    # bipartite flag that metrics, predict and product print is the one
+    # these routes read, and verify checks it.
+    names = _names_in_function(module, function)
+    assert not names & {"is_bipartite", "is_connected"}
+    assert {"connected", "bipartite"} <= names
+
+
 def test_the_reader_sees_each_scan_where_it_runs():
     assert "_reach" in _names_in_function("walks", "diameter")
     assert "_levels" in _names_in_function("walks", "profile_of")

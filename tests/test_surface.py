@@ -14,8 +14,10 @@ from pathlib import Path
 import kronwalk
 
 # The boolean-power reference that the tests compare the walk route with,
-# and the odd girth that outside reference checks read.
-KEPT_FOR_OUTSIDE_CALLERS = ("oracle_exponent", "bool_pow", "odd_girth")
+# the odd girth that outside reference checks read, and the two-colouring
+# search that the tests and the benchmark's checks compare the profile's
+# bipartite flag with.
+KEPT_FOR_OUTSIDE_CALLERS = ("oracle_exponent", "bool_pow", "odd_girth", "is_bipartite")
 
 PACKAGE = Path(kronwalk.__file__).parent
 

@@ -48,17 +48,14 @@ def test_summarize_runs_one_parity_traversal(traversals):
 
 def test_metrics_runs_one_profile_and_the_cycle_bound(traversals, capsys):
     assert cli.main(["metrics", "F:30,5"]) == 0
-    # The cycle bound builds no all-pairs table: one two-colouring search
-    # shows an odd cycle, and the first cycle's unlimited search shows that
-    # the graph is connected.
-    assert traversals == [PROFILE, ("is_bipartite", "l_o_bound")]
+    # The cycle bound builds no all-pairs table, and reads connectivity and
+    # bipartiteness off the profile metrics prints.
+    assert traversals == [PROFILE]
 
 
-def test_cycle_bound_checks_connectivity_only_with_no_odd_cycle(traversals, capsys):
+def test_cycle_bound_on_a_bipartite_graph_runs_no_search(traversals, capsys):
     assert cli.main(["metrics", "path:30"]) == 0
-    assert traversals == [
-        PROFILE, ("is_bipartite", "l_o_bound"), ("is_connected", "l_o_bound")
-    ]
+    assert traversals == [PROFILE]
 
 
 @pytest.mark.parametrize(
@@ -141,11 +138,9 @@ def test_all_loops_closed_form_runs_one_profile_per_factor(traversals):
 def test_product_connectivity_check_gates_on_the_criterion_alone(
     traversals, pair, connected_factors
 ):
-    # The hypothesis is product_is_connected's own refusal: no traversal of
-    # the factors beyond its own, and one BFS over the product when it answers.
+    # The criterion and its hypothesis, product_is_connected's own refusal,
+    # read one profile per factor: no BFS of a factor, and one BFS over the
+    # product when it answers.
     assert claims.REGISTRY["Lem2.4"].check(pair) is None
-    own = [call for call in traversals if call[1] == "product_is_connected"]
-    rest = [call for call in traversals if call[1] != "product_is_connected"]
-    assert own
     bfs = [("is_connected", "_product_connected")]
-    assert rest == (bfs if connected_factors else [])
+    assert traversals == [PROFILE, PROFILE] + (bfs if connected_factors else [])
