@@ -53,7 +53,6 @@ from .predict import (
     predict_family_product,
     predict_k_plus_factor,
     predict_multipartite_factor,
-    summarize,
 )
 from .walks import (
     ExponentReport,
@@ -63,6 +62,7 @@ from .walks import (
     is_bipartite,
     is_connected,
     odd_girth,
+    summarize,
 )
 
 __all__ = [

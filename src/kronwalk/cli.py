@@ -37,16 +37,17 @@ from .graphs import (
     make_path,
     random_graph,
 )
-from .harness import (
-    CLAIM_IDS,
-    EnsembleSpec,
+from .harness.campaign import (
     counterexample_to_json,
     get_claim,
     minimize_counterexample,
     run_campaign,
 )
+from .harness.claims import CLAIM_IDS
+from .harness.ensembles import EnsembleSpec
 from .kronecker import kronecker_product, product_diameter, product_edge_count
-from .predict import DiameterPrediction, predict_diameter, summarize
+from .predict import DiameterPrediction, predict_diameter
+from .walks import ParityProfile, summarize
 
 
 _FAMILIES = {
@@ -97,7 +98,9 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _prediction_json(pred: DiameterPrediction) -> dict:
+def _prediction_json(
+    pred: DiameterPrediction, s1: ParityProfile, s2: ParityProfile
+) -> dict:
     bounds = None
     if pred.bounds is not None:
         bounds = {"lower": to_json(pred.bounds.lower), "upper": to_json(pred.bounds.upper)}
@@ -105,10 +108,10 @@ def _prediction_json(pred: DiameterPrediction) -> dict:
         "predicted": to_json(pred.value),
         "case": pred.case,
         "bounds": bounds,
-        "gamma1": to_json(pred.gamma1),
-        "gamma2": to_json(pred.gamma2),
-        "d1": to_json(pred.d1),
-        "d2": to_json(pred.d2),
+        "gamma1": to_json(s1.exponent),
+        "gamma2": to_json(s2.exponent),
+        "d1": to_json(s1.diameter),
+        "d2": to_json(s2.diameter),
     }
 
 
@@ -154,7 +157,7 @@ def cmd_product(args: argparse.Namespace) -> int:
         "measured": to_json(measured),
         "match": prediction.value == measured,
         "out": args.out,
-        **_prediction_json(prediction),
+        **_prediction_json(prediction, s1, s2),
     }
     _emit(document)
     if prediction.value != measured:
@@ -169,7 +172,8 @@ def cmd_product(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     g1 = parse_graph_spec(args.graph1)
     g2 = parse_graph_spec(args.graph2)
-    _emit(_prediction_json(predict_diameter(summarize(g1), summarize(g2))))
+    s1, s2 = summarize(g1), summarize(g2)
+    _emit(_prediction_json(predict_diameter(s1, s2), s1, s2))
     return 0
 
 

@@ -38,6 +38,14 @@ MAX_EDGES = 1_000_000
 MAX_TABLE_ORDER = 3_000
 
 
+class OutsideHypotheses(ValueError):
+    """A closed form's refusal: its inputs lie outside the theorem it states.
+
+    The verify harness reads this refusal, and only this one, as an instance
+    outside a claim; any other error, a size guard's included, stays an error.
+    """
+
+
 def check_order(order: int) -> None:
     """Refuse an order above MAX_ORDER before anything of that size exists."""
     if order > MAX_ORDER:

@@ -13,9 +13,12 @@ failure.  Ground truth for product claims is always breadth-first search on
 the explicitly constructed product (:func:`_product_diameter`,
 :func:`_product_connected`), never the formula under test.  A closed form's
 hypotheses are its predictor's refusals: the harness does not check them
-again, and a ``ValueError`` from the predictor puts the instance outside the
-claim.  The one hypothesis a profile cannot show, a loop on every vertex of
-a ``CorLoops`` factor, is the closed form's own refusal.
+again, and an :class:`~kronwalk.graphs.OutsideHypotheses` from the predictor
+puts the instance outside the claim.  Any other error, a plain
+``ValueError`` included, propagates, so a broken route cannot pass as an
+instance outside the hypotheses.  The one hypothesis a profile cannot show,
+a loop on every vertex of a ``CorLoops`` factor, is the closed form's own
+refusal.
 
 The pair checkers read the profile and the walk levels of each factor
 through a memo that :func:`run_campaign` opens for each claim
@@ -40,6 +43,7 @@ from ..boolmat import BoolMatrix, adjacency, bool_mul, kron_matrix
 from ..extlen import ExtLen, is_finite
 from ..graphs import (
     Graph,
+    OutsideHypotheses,
     is_k_plus,
     make_complete,
     make_complete_multipartite,
@@ -56,7 +60,6 @@ from ..predict import (
     predict_family_product,
     predict_k_plus_factor,
     predict_multipartite_factor,
-    summarize,
 )
 from ..walks import (
     ParityProfile,
@@ -64,6 +67,7 @@ from ..walks import (
     diameter,
     exponent,
     is_connected,
+    summarize,
     walk_levels,
 )
 from ..cycles import l_o_bound
@@ -111,17 +115,17 @@ def _closed_form_claim(claim_id: str, description: str, instances, truth) -> Cal
     """Register an equality claim: a closed form checked against a brute force.
 
     The check compares the closed form's value with ``truth`` on the same
-    instance.  None or a ``ValueError`` from the closed form (how a predictor
-    refuses an instance) puts the instance outside the hypotheses; the size
-    guards of the brute force also raise ``ValueError``, so ``truth`` runs
-    outside the ``try``.
+    instance.  None or an ``OutsideHypotheses`` from the closed form (how a
+    predictor refuses an instance) puts the instance outside the hypotheses;
+    any other error propagates, and ``truth``, whose size guards raise a
+    plain ``ValueError``, runs outside the ``try``.
     """
 
     def register(closed_form: Callable[..., object]) -> Callable:
         def check(instance: Instance) -> Failure | None:
             try:
                 expected = closed_form(*instance)
-            except ValueError:
+            except OutsideHypotheses:
                 return None
             if expected is None:
                 return None
@@ -226,15 +230,12 @@ def complete_multipartite_parts(g: Graph) -> list[int] | None:
 
 
 def _stream(
-    head: Iterable[Instance],
-    spec: EnsembleSpec,
-    draw: Callable[[], Instance] | None = None,
+    head: Iterable[Instance], spec: EnsembleSpec, draw: Callable[[], Instance]
 ) -> Iterator[Instance]:
-    """The fixed instances, then ``spec.random_count`` draws if ``draw`` is given."""
+    """The fixed instances, then ``spec.random_count`` draws."""
     yield from head
-    if draw is not None:
-        for _ in range(spec.random_count):
-            yield draw()
+    for _ in range(spec.random_count):
+        yield draw()
 
 
 def _square(pool: Iterable[Graph]) -> Iterator[Instance]:
@@ -654,7 +655,7 @@ def _family_products(g: Graph, h: Graph) -> ExtLen:
 def _all_loops(g1: Graph, g2: Graph) -> ExtLen:
     for label, g in (("first", g1), ("second", g2)):
         if not all(g.loop_flags):
-            raise ValueError(f"{label} factor: every vertex must have a loop")
+            raise OutsideHypotheses(f"{label} factor: every vertex must have a loop")
     return predict_all_loops(_summarize(g1), _summarize(g2)).value
 
 

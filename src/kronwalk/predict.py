@@ -1,6 +1,8 @@
 """Closed-form diameter prediction for Kronecker products.
 
-The main predictor maps two factor summaries to the exact product diameter:
+Every predictor reads the parity profiles that :func:`walks.summarize`
+gives the two factors; this module reads no graph.  The main predictor maps
+two factor profiles to the exact product diameter:
 the common exponent when the exponents agree, otherwise the larger of the
 smaller exponent plus one and the other factor's diameter.  A bipartite
 factor has infinite exponent and infinity compares greater than any finite
@@ -12,7 +14,10 @@ forms: a complete-with-loops factor, a complete multipartite factor,
 factors whose exponent is exactly twice their diameter (the path-plus-clique
 and path-plus-odd-cycle families), and all-loops factors.
 Every predictor returns its record through one builder, which names the
-case by comparing the two factor exponents.
+case by comparing the two factor exponents.  The record holds only what
+the predictor decided, the value, the case and the bounds; the factor
+facts it read stay in the profiles.  A predictor refuses factors outside
+its theorem's hypotheses with :class:`graphs.OutsideHypotheses`.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .extlen import INF, ExtLen, is_finite
-from .graphs import Graph
-from .walks import ParityProfile, profile_of
+from .graphs import OutsideHypotheses
+from .walks import ParityProfile
 
 CASE_EQUAL_EXPONENTS = "EqualExponents"
 CASE_GAMMA1_GREATER = "Gamma1Greater"
@@ -39,18 +44,6 @@ class DiameterPrediction(NamedTuple):
     value: ExtLen
     case: str
     bounds: Bounds | None
-    gamma1: ExtLen
-    gamma2: ExtLen
-    d1: ExtLen
-    d2: ExtLen
-
-
-def summarize(g: Graph) -> ParityProfile:
-    """Everything the predictors need to know about one factor.
-
-    One scan of the parity levels; no n x n table is built.
-    """
-    return profile_of(g)
 
 
 def diameter_bounds(s1: ParityProfile, s2: ParityProfile) -> Bounds:
@@ -86,15 +79,7 @@ def _prediction(
         else:
             case = CASE_GAMMA2_GREATER
     bounds = diameter_bounds(s1, s2) if min(s1.order, s2.order) >= 2 else None
-    return DiameterPrediction(
-        value=value,
-        case=case,
-        bounds=bounds,
-        gamma1=g1,
-        gamma2=g2,
-        d1=s1.diameter,
-        d2=s2.diameter,
-    )
+    return DiameterPrediction(value=value, case=case, bounds=bounds)
 
 
 def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction:
@@ -128,7 +113,7 @@ def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ValueError(message)
+        raise OutsideHypotheses(message)
 
 
 def predict_k_plus_factor(

@@ -17,9 +17,9 @@ relabelled into row positions once, when it is built, and each level
 gathers each column with one ``itemgetter`` call and ORs it into the prefix
 of rows it covers; no level is gathered back into vertex order as the scan
 runs.  A reader maps a row back to its vertex only where it names one: the
-witness row in :func:`profile_of`, and every row in :func:`walk_levels`.
+witness row in :func:`summarize`, and every row in :func:`walk_levels`.
 
-:func:`profile_of` reads a graph's whole profile off the levels as they
+:func:`summarize` reads a graph's whole profile off the levels as they
 stream:
 
 - the diameter is the first level ``k`` at which ``W_k | W_{k-1}``, the
@@ -162,10 +162,12 @@ def _levels(g: Graph) -> Iterator[Level]:
         before, level = level, step
 
 
-def profile_of(g: Graph) -> ParityProfile:
+def summarize(g: Graph) -> ParityProfile:
     """Connectivity, bipartiteness, odd girth, diameter and both spans at once.
 
-    One scan of the levels, read as they stream; no n x n table is built.
+    Everything the predictors and the product's diameter need to know about
+    one factor.  One scan of the levels, read as they stream; no n x n table
+    is built.
     """
     check_table_order(g.order)
     levels = _levels(g)
@@ -285,7 +287,7 @@ def diameter(g: Graph) -> ExtLen:
     return INF
 
 
-def eccentricity(g: Graph, sources: Iterable[int], limit: ExtLen = INF) -> int | None:
+def eccentricity(g: Graph, sources: Iterable[int], limit: ExtLen) -> int | None:
     """Largest distance from the distinct ``sources`` to a vertex, if below ``limit``.
 
     None, expanding no further level, once a vertex proves unreachable or
@@ -326,10 +328,10 @@ def odd_girth(g: Graph) -> ExtLen:
     The shortest odd closed walk through any vertex is a cycle, so this is
     the first odd level at which a vertex reaches itself.
     """
-    return profile_of(g).odd_girth
+    return summarize(g).odd_girth
 
 
 def exponent(g: Graph) -> ExponentReport:
     """Global exponent: the maximum per-pair exponent; INF iff not primitive."""
-    profile = profile_of(g)
+    profile = summarize(g)
     return ExponentReport(gamma=profile.exponent, witness_pair=profile.witness_pair)

@@ -172,6 +172,10 @@ def test_predict_order_one_factor_in_argument_order(capsys):
     doc = json.loads(out)
     assert (doc["gamma1"], doc["d1"], doc["gamma2"], doc["d2"]) == (1, 0, 4, 2)
     assert doc["predicted"] == 2 and doc["case"] == "OrderOneFactor"
+    code, out, _ = run_cli(capsys, "predict", "cycle:5", "complete:1")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["gamma1"], doc["d1"], doc["gamma2"], doc["d2"]) == (4, 2, "inf", 0)
 
 
 def test_predict_only(capsys):
@@ -261,6 +265,24 @@ def test_verify_passes_a_claim_with_fixed_instances_at_the_smallest_ensemble(cap
     assert entry["pass"] and entry["instances_checked"] > 0
 
 
+def test_verify_fails_a_route_that_raises_a_plain_value_error(monkeypatch, capsys):
+    # Only a predictor's OutsideHypotheses puts an instance outside a claim;
+    # a route that breaks with any other ValueError must not pass unchecked.
+    from kronwalk.harness import claims
+
+    def broken(g):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(claims, "summarize", broken)
+    code, out, err = run_cli(
+        capsys, "verify", "--claims", "Thm3.3,ParityRoute,CorLoops,Thm3.5,CorHF",
+        "--exhaustive", "3", "--random", "20",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: injected\n"
+
+
 def test_verify_unknown_claim(capsys):
     code, out, err = run_cli(capsys, "verify", "--claims", "nope")
     assert code == 1
@@ -270,21 +292,12 @@ def test_verify_unknown_claim(capsys):
 def test_product_mismatch_exits_two(monkeypatch, capsys):
     # force a wrong prediction: a mismatch must be signaled with exit 2
     import kronwalk.cli as cli_module
-    from kronwalk.predict import DiameterPrediction
 
     real = cli_module.predict_diameter
 
     def wrong(s1, s2):
         pred = real(s1, s2)
-        return DiameterPrediction(
-            value=pred.value + 1,
-            case=pred.case,
-            bounds=pred.bounds,
-            gamma1=pred.gamma1,
-            gamma2=pred.gamma2,
-            d1=pred.d1,
-            d2=pred.d2,
-        )
+        return pred._replace(value=pred.value + 1)
 
     monkeypatch.setattr(cli_module, "predict_diameter", wrong)
     code, out, err = run_cli(capsys, "product", "cycle:3", "cycle:5")

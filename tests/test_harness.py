@@ -19,22 +19,18 @@ from kronwalk import (
     make_path,
     summarize,
 )
-from kronwalk.harness import (
-    CLAIM_IDS,
-    Claim,
-    EnsembleSpec,
-    Failure,
-    connected_graphs,
-    minimize_counterexample,
-    run_campaign,
-    with_all_loops,
-)
+from kronwalk.graphs import OutsideHypotheses
 from kronwalk.harness import claims
+from kronwalk.harness.campaign import minimize_counterexample, run_campaign
 from kronwalk.harness.claims import (
+    CLAIM_IDS,
     REGISTRY,
+    Claim,
+    Failure,
     are_isomorphic,
     complete_multipartite_parts,
 )
+from kronwalk.harness.ensembles import EnsembleSpec, connected_graphs, with_all_loops
 
 from helpers import enumerate_graphs, labeled_graphs
 
@@ -416,11 +412,20 @@ def test_with_all_loops():
 
 def test_diameter_claim_reads_a_refusal_as_outside_the_hypotheses(monkeypatch):
     def refuse(g1, g2):
-        raise ValueError("outside the hypotheses")
+        raise OutsideHypotheses("outside the hypotheses")
 
     claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(refuse)
     check = REGISTRY.pop("Probe").check
     assert check((make_cycle(5), make_cycle(3))) is None
+    # Any other ValueError from the closed form is a broken route, not a
+    # refusal, and propagates.
+    def broken(g1, g2):
+        raise ValueError("broken route")
+
+    claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(broken)
+    check = REGISTRY.pop("Probe").check
+    with pytest.raises(ValueError, match="broken route"):
+        check((make_cycle(5), make_cycle(3)))
     # Only the closed form is guarded: a size guard of the product still
     # raises.
     claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(lambda g1, g2: 3)
@@ -455,7 +460,7 @@ def test_diameter_claim_reads_a_refusal_as_outside_the_hypotheses(monkeypatch):
     ],
 )
 def test_closed_forms_refuse_pairs_outside_their_hypotheses(claim_id, closed_form, pair):
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideHypotheses):
         getattr(claims, closed_form)(*pair)
     assert REGISTRY[claim_id].check(pair) is None
 

@@ -96,15 +96,6 @@ def test_trivial_factor():
         assert pred.value == 0 and pred.case == CASE_ORDER_ONE
 
 
-def test_order_one_factor_reports_facts_in_argument_order():
-    pred = predict_diameter(
-        summarize(make_complete(1, with_loops=True)), summarize(make_cycle(5))
-    )
-    assert (pred.gamma1, pred.d1, pred.gamma2, pred.d2) == (1, 0, 4, 2)
-    pred = predict_diameter(summarize(make_cycle(5)), summarize(Graph(1)))
-    assert (pred.gamma1, pred.d1, pred.gamma2, pred.d2) == (4, 2, INF, 0)
-
-
 @given(graphs(min_order=1, max_order=1), graphs(min_order=1, max_order=4))
 @settings(max_examples=100, deadline=None)
 def test_order_one_prediction_matches_brute_force(g1, g2):

@@ -19,7 +19,9 @@ from kronwalk import (
     predict_diameter,
     summarize,
 )
-from kronwalk.harness import EnsembleSpec, Failure, run_campaign
+from kronwalk.harness.campaign import run_campaign
+from kronwalk.harness.claims import Failure
+from kronwalk.harness.ensembles import EnsembleSpec
 
 SRC = Path(__file__).parents[1] / "src"
 

@@ -71,7 +71,7 @@ def _names_in_function(module: str, function: str) -> set[str]:
 @pytest.mark.parametrize("function", ["diameter", "_reach"])
 def test_distances_never_read_the_parity_scan(function):
     names = _names_in_function("walks", function)
-    assert not names & {"_levels", "profile_of", "walk_levels"}
+    assert not names & {"_levels", "summarize", "walk_levels"}
 
 
 def test_parity_scan_never_reads_the_reach_scan():
@@ -107,4 +107,4 @@ def test_connectivity_and_bipartiteness_come_from_the_profile(module, function):
 
 def test_the_reader_sees_each_scan_where_it_runs():
     assert "_reach" in _names_in_function("walks", "diameter")
-    assert "_levels" in _names_in_function("walks", "profile_of")
+    assert "_levels" in _names_in_function("walks", "summarize")

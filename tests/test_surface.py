@@ -6,12 +6,19 @@ its own ``def`` or ``class``, not as an attribute after a dot, and not in
 a comment or a string.  So the CLI, the verify harness or a cross-check
 route uses it.  The only exceptions are the names below, kept for outside
 callers.
+
+Each name has one definition: the profile reader lives in ``walks`` alone,
+the harness package binds only its submodules, and the prediction record
+copies no field of the profiles it was given.
 """
 
 import tokenize
 from pathlib import Path
+from types import ModuleType
 
 import kronwalk
+import kronwalk.harness
+import kronwalk.predict
 
 # The boolean-power reference that the tests compare the walk route with,
 # the odd girth that outside reference checks read, and the two-colouring
@@ -49,3 +56,21 @@ def test_every_export_is_used_inside_the_package():
 
 def test_names_kept_for_outside_callers_are_exported():
     assert set(KEPT_FOR_OUTSIDE_CALLERS) <= set(kronwalk.__all__)
+
+
+def test_the_profile_reader_is_defined_once():
+    # walks.summarize is the one reader of a factor's profile; the
+    # predictors take profiles and read no graph.
+    assert kronwalk.summarize.__module__ == "kronwalk.walks"
+    assert not hasattr(kronwalk.predict, "summarize")
+
+
+def test_the_harness_package_re_exports_nothing():
+    public = {name for name in vars(kronwalk.harness) if not name.startswith("_")}
+    assert all(isinstance(getattr(kronwalk.harness, name), ModuleType) for name in public)
+    assert public <= {"campaign", "claims", "ensembles"}
+
+
+def test_the_prediction_record_holds_only_what_the_predictor_decided():
+    # The factor exponents and diameters stay in the profiles.
+    assert kronwalk.DiameterPrediction._fields == ("value", "case", "bounds")

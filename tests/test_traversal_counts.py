@@ -1,7 +1,9 @@
 """How many graph traversals each entry point runs.
 
 Every traversal name is replaced, in each module that binds it, by a
-wrapper that records the traversal and the function that called it.
+wrapper that records the traversal and the function that called it.  A
+pair checker reads each factor's profile through the campaign memo, so its
+profiles are called from ``_recall``.
 """
 
 import sys
@@ -12,22 +14,21 @@ import kronwalk.cli as cli
 import kronwalk.cycles as cycles
 import kronwalk.harness.claims as claims
 import kronwalk.kronecker as kronecker
-import kronwalk.predict as predict
 import kronwalk.walks as walks
 from kronwalk import make_complete, make_cycle, summarize
-from kronwalk.harness import with_all_loops
+from kronwalk.harness.ensembles import with_all_loops
 
 TRAVERSALS = (
-    "profile_of", "walk_levels", "diameter", "is_connected", "is_bipartite",
+    "summarize", "walk_levels", "diameter", "is_connected", "is_bipartite",
 )
-PROFILE = ("profile_of", "summarize")
+MEMO_PROFILE = ("summarize", "_recall")
 BRUTE_FORCE = ("diameter", "_product_diameter")
 
 
 @pytest.fixture
 def traversals(monkeypatch):
     calls = []
-    for module in (walks, cycles, kronecker, predict, cli, claims):
+    for module in (walks, cycles, kronecker, cli, claims):
         for name in TRAVERSALS:
             real = getattr(module, name, None)
             if real is None:
@@ -41,21 +42,31 @@ def traversals(monkeypatch):
     return calls
 
 
-def test_summarize_runs_one_parity_traversal(traversals):
-    summarize(make_cycle(5))
-    assert traversals == [PROFILE]
+def test_summarize_runs_one_parity_traversal(traversals, monkeypatch):
+    scans = []
+    real = walks._levels
+
+    def counted(g):
+        scans.append(g)
+        return real(g)
+
+    monkeypatch.setattr(walks, "_levels", counted)
+    g = make_cycle(5)
+    summarize(g)
+    assert scans == [g]
+    assert traversals == []
 
 
 def test_metrics_runs_one_profile_and_the_cycle_bound(traversals, capsys):
     assert cli.main(["metrics", "F:30,5"]) == 0
     # The cycle bound builds no all-pairs table, and reads connectivity and
     # bipartiteness off the profile metrics prints.
-    assert traversals == [PROFILE]
+    assert traversals == [("summarize", "cmd_metrics")]
 
 
 def test_cycle_bound_on_a_bipartite_graph_runs_no_search(traversals, capsys):
     assert cli.main(["metrics", "path:30"]) == 0
-    assert traversals == [PROFILE]
+    assert traversals == [("summarize", "cmd_metrics")]
 
 
 @pytest.mark.parametrize(
@@ -63,12 +74,12 @@ def test_cycle_bound_on_a_bipartite_graph_runs_no_search(traversals, capsys):
 )
 def test_predict_runs_one_profile_per_factor(traversals, capsys, pair):
     assert cli.main(["predict", *pair]) == 0
-    assert traversals == [PROFILE, PROFILE]
+    assert traversals == [("summarize", "cmd_predict")] * 2
 
 
 def test_parity_extremal_check_runs_one_parity_traversal(traversals):
     assert claims.REGISTRY["Lem2.6"].check((make_cycle(5),)) is None
-    assert traversals == [PROFILE]
+    assert traversals == [("summarize", "_check_parity_extremal_pairs")]
 
 
 @pytest.mark.parametrize(
@@ -90,7 +101,7 @@ def test_mixed_parity_check_gates_on_the_parity_tables(traversals, pair):
     assert claims.REGISTRY["Lem2.7"].check(pair) is None
     levels = ("walk_levels", "_recall")
     primitive = pair[0].order > 2
-    expected = [PROFILE, PROFILE, levels, levels] if primitive else [PROFILE]
+    expected = [MEMO_PROFILE, MEMO_PROFILE, levels, levels] if primitive else [MEMO_PROFILE]
     assert traversals == expected
 
 
@@ -109,14 +120,14 @@ def builds(monkeypatch):
 
 def test_product_reads_two_profiles_and_builds_nothing(traversals, builds, capsys):
     assert cli.main(["product", "cycle:59", "cycle:61"]) == 0
-    assert traversals == [PROFILE, PROFILE]
+    assert traversals == [("summarize", "cmd_product")] * 2
     assert builds == []
 
 
 def test_product_builds_the_product_once_for_out(traversals, builds, capsys, tmp_path):
     out = str(tmp_path / "p.edges")
     assert cli.main(["product", "cycle:5", "path:4", "--out", out]) == 0
-    assert traversals == [PROFILE, PROFILE]
+    assert traversals == [("summarize", "cmd_product")] * 2
     assert builds == [(5, 4)]
 
 
@@ -124,7 +135,7 @@ def test_all_loops_closed_form_runs_one_profile_per_factor(traversals):
     pair = (make_complete(3, with_loops=True), with_all_loops(make_cycle(5)))
     assert claims.REGISTRY["CorLoops"].check(pair) is None
     # One profile per factor for the closed form, one BFS over the product.
-    assert sorted(traversals) == sorted([PROFILE, PROFILE, BRUTE_FORCE])
+    assert sorted(traversals) == sorted([MEMO_PROFILE, MEMO_PROFILE, BRUTE_FORCE])
 
 
 @pytest.mark.parametrize(
@@ -143,4 +154,4 @@ def test_product_connectivity_check_gates_on_the_criterion_alone(
     # product when it answers.
     assert claims.REGISTRY["Lem2.4"].check(pair) is None
     bfs = [("is_connected", "_product_connected")]
-    assert traversals == [PROFILE, PROFILE] + (bfs if connected_factors else [])
+    assert traversals == [MEMO_PROFILE, MEMO_PROFILE] + (bfs if connected_factors else [])
