@@ -96,6 +96,19 @@ def test_trivial_factor():
         assert pred.value == 0 and pred.case == CASE_ORDER_ONE
 
 
+def test_order_one_factor_reports_facts_in_argument_order():
+    # The factor facts come from the profiles handed to the predictor, so
+    # they follow the argument order even when the order-one factor is first.
+    s1, s2 = summarize(make_complete(1, with_loops=True)), summarize(make_cycle(5))
+    pred = predict_diameter(s1, s2)
+    assert (s1.exponent, s1.diameter, s2.exponent, s2.diameter) == (1, 0, 4, 2)
+    assert pred.value == 2 and pred.case == CASE_ORDER_ONE
+    s1, s2 = summarize(make_cycle(5)), summarize(Graph(1))
+    pred = predict_diameter(s1, s2)
+    assert (s1.exponent, s1.diameter, s2.exponent, s2.diameter) == (4, 2, INF, 0)
+    assert pred.value == INF and pred.case == CASE_DISCONNECTED
+
+
 @given(graphs(min_order=1, max_order=1), graphs(min_order=1, max_order=4))
 @settings(max_examples=100, deadline=None)
 def test_order_one_prediction_matches_brute_force(g1, g2):
