@@ -87,20 +87,16 @@ def kron_matrix(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     return BoolMatrix(a.dim * b.dim, tuple(rows))
 
 
-def oracle_exponent(g: Graph, cap: int | None = None) -> ExtLen:
-    """Least k with all of A^k positive; INF if none up to ``cap``.
+def oracle_exponent(g: Graph) -> ExtLen:
+    """Least k with all of A^k positive; INF if none up to ``2 * order``.
 
-    The default cap ``2 * order`` is safe: a primitive undirected graph has
-    exponent at most twice its diameter, which is below ``2 * order``, so
-    hitting the cap is a sound non-primitivity verdict.
+    The cap is sound: a primitive undirected graph has exponent at most
+    twice its diameter, which is below ``2 * order``, so no positive power
+    up to it is a non-primitivity verdict.
     """
-    if cap is None:
-        cap = 2 * g.order
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     a = adjacency(g)
     power = a
-    for k in range(1, cap + 1):
+    for k in range(1, 2 * g.order + 1):
         if power.is_all_ones():
             return k
         power = bool_mul(power, a)

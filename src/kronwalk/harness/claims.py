@@ -406,10 +406,13 @@ def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
     # blocks of n2 bits (g1's rows) or tiled n1 times (g2's), row (x1, x2) of
     # that is (O1[x1] | E2[x2]) & (E1[x1] | O2[x2]).
     g1, g2 = instance
-    if not all(is_finite(_summarize(g).exponent) for g in instance):
-        return None  # a factor is not primitive
     levels1, levels2 = _walk_levels(g1), _walk_levels(g2)
     n1, n2 = g1.order, g2.order
+    # A scan ends on the two levels that repeat from there on, so a factor is
+    # primitive iff every row of its last two levels is full.
+    for n, levels in ((n1, levels1), (n2, levels2)):
+        if any(row != (1 << n) - 1 for row in levels[-2] + levels[-1]):
+            return None  # a factor is not primitive
     block, tile = (1 << n2) - 1, sum(1 << y * n2 for y in range(n1))
     latest = [([0] * n1, [0] * n2)] * 2  # even, odd; step k renews k's parity
     for k, reached in enumerate(_reach(kronecker_product(g1, g2))):
@@ -580,7 +583,7 @@ def _both_k_plus(g1: Graph, g2: Graph) -> bool | None:
     _product_diameter,
 )
 def _k_plus_factor(g1: Graph, g2: Graph) -> ExtLen:
-    return predict_k_plus_factor(_summarize(g1), _summarize(g2)).value
+    return predict_k_plus_factor(_summarize(g1), _summarize(g2))
 
 
 _PART_LISTS = (
@@ -619,7 +622,7 @@ def _multipartite_factor(g: Graph, h: Graph) -> ExtLen | None:
     parts = complete_multipartite_parts(h)
     if parts is None:
         return None
-    return predict_multipartite_factor(_summarize(g), parts).value
+    return predict_multipartite_factor(_summarize(g), parts)
 
 
 def _hf_instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instance]:
@@ -637,7 +640,7 @@ def _hf_instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instance]:
     _product_diameter,
 )
 def _family_products(g: Graph, h: Graph) -> ExtLen:
-    return predict_family_product(_summarize(g), _summarize(h)).value
+    return predict_family_product(_summarize(g), _summarize(h))
 
 
 @_closed_form_claim(
@@ -656,7 +659,7 @@ def _all_loops(g1: Graph, g2: Graph) -> ExtLen:
     for label, g in (("first", g1), ("second", g2)):
         if not all(g.loop_flags):
             raise OutsideHypotheses(f"{label} factor: every vertex must have a loop")
-    return predict_all_loops(_summarize(g1), _summarize(g2)).value
+    return predict_all_loops(_summarize(g1), _summarize(g2))
 
 
 @_closed_form_claim(
@@ -701,7 +704,7 @@ def _cycle_products(g1: Graph, g2: Graph) -> ExtLen | None:
 
 @_closed_form_claim(
     "ParityRoute",
-    "product diameter read off the factors' parity tables matches BFS",
+    "product diameter read off the factors' parity profiles matches BFS",
     _pair_instances,
     _product_diameter,
 )

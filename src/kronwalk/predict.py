@@ -13,11 +13,12 @@ Alongside the general formula this module evaluates the special closed
 forms: a complete-with-loops factor, a complete multipartite factor,
 factors whose exponent is exactly twice their diameter (the path-plus-clique
 and path-plus-odd-cycle families), and all-loops factors.
-Every predictor returns its record through one builder, which names the
-case by comparing the two factor exponents.  The record holds only what
-the predictor decided, the value, the case and the bounds; the factor
-facts it read stay in the profiles.  A predictor refuses factors outside
-its theorem's hypotheses with :class:`graphs.OutsideHypotheses`.
+Only the main predictor builds a :class:`DiameterPrediction`, the record
+that ``predict`` and ``product`` print; it holds only what the predictor
+decided, the value, the case and the bounds, and the factor facts it read
+stay in the profiles.  Each special form returns the length its theorem
+states.  A predictor refuses factors outside its theorem's hypotheses with
+:class:`graphs.OutsideHypotheses`.
 """
 
 from __future__ import annotations
@@ -63,25 +64,6 @@ def diameter_bounds(s1: ParityProfile, s2: ParityProfile) -> Bounds:
     return Bounds(lower=lower, upper=upper)
 
 
-def _prediction(
-    value: ExtLen, s1: ParityProfile, s2: ParityProfile, case: str | None = None
-) -> DiameterPrediction:
-    """The record for a predicted value; bounds need both orders >= 2.
-
-    Without an explicit case the larger exponent names it.
-    """
-    g1, g2 = s1.exponent, s2.exponent
-    if case is None:
-        if g1 == g2:
-            case = CASE_EQUAL_EXPONENTS
-        elif g1 > g2:
-            case = CASE_GAMMA1_GREATER
-        else:
-            case = CASE_GAMMA2_GREATER
-    bounds = diameter_bounds(s1, s2) if min(s1.order, s2.order) >= 2 else None
-    return DiameterPrediction(value=value, case=case, bounds=bounds)
-
-
 def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction:
     """Exact product diameter from the factor exponents and diameters.
 
@@ -90,25 +72,28 @@ def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction
     looped single vertex (exponent 1) is a multiplicative identity, so the
     product keeps the other factor's diameter; a bare single vertex makes
     the product edgeless, disconnected against order two or more and a
-    single vertex (diameter 0) otherwise.
+    single vertex (diameter 0) otherwise.  Otherwise the larger exponent
+    names the case.  Bounds need both orders at least 2.
     """
-    if min(s1.order, s2.order) == 1:
-        one, other = (s1, s2) if s1.order == 1 else (s2, s1)
-        if one.is_k_plus:
-            return _prediction(other.diameter, s1, s2, CASE_ORDER_ONE)
-        if other.order >= 2:
-            return _prediction(INF, s1, s2, CASE_DISCONNECTED)
-        return _prediction(0, s1, s2, CASE_ORDER_ONE)
-    if not s1.connected or not s2.connected or (s1.bipartite and s2.bipartite):
-        return _prediction(INF, s1, s2, CASE_DISCONNECTED)
     g1, g2 = s1.exponent, s2.exponent
-    if g1 == g2:
-        value: ExtLen = g1
+    one, other = (s1, s2) if s1.order == 1 else (s2, s1)
+    value: ExtLen
+    if one.order == 1 and one.is_k_plus:
+        value, case = other.diameter, CASE_ORDER_ONE
+    elif one.order == 1 and other.order == 1:
+        value, case = 0, CASE_ORDER_ONE
+    elif one.order == 1 or not s1.connected or not s2.connected:
+        value, case = INF, CASE_DISCONNECTED
+    elif s1.bipartite and s2.bipartite:
+        value, case = INF, CASE_DISCONNECTED
+    elif g1 == g2:
+        value, case = g1, CASE_EQUAL_EXPONENTS
     elif g1 > g2:
-        value = max(g2 + 1, s1.diameter)
+        value, case = max(g2 + 1, s1.diameter), CASE_GAMMA1_GREATER
     else:
-        value = max(g1 + 1, s2.diameter)
-    return _prediction(value, s1, s2)
+        value, case = max(g1 + 1, s2.diameter), CASE_GAMMA2_GREATER
+    bounds = diameter_bounds(s1, s2) if min(s1.order, s2.order) >= 2 else None
+    return DiameterPrediction(value=value, case=case, bounds=bounds)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -116,10 +101,8 @@ def _require(condition: bool, message: str) -> None:
         raise OutsideHypotheses(message)
 
 
-def predict_k_plus_factor(
-    s_kp: ParityProfile, s_other: ParityProfile
-) -> DiameterPrediction:
-    """Complete-with-loops factor times anything else connected.
+def predict_k_plus_factor(s_kp: ParityProfile, s_other: ParityProfile) -> ExtLen:
+    """Diameter of a complete-with-loops factor times anything else connected.
 
     The product diameter is the other factor's, except that diameter 1
     becomes 2.
@@ -133,47 +116,30 @@ def predict_k_plus_factor(
         "second factor: must not be complete with a loop everywhere",
     )
     d = s_other.diameter
-    return _prediction(2 if d == 1 else d, s_kp, s_other)
-
-
-def _multipartite_profile(part_sizes: Sequence[int]) -> ParityProfile:
-    # On three or more parts every pair has an odd walk of length at most 3
-    # (a vertex back to itself needs 3) and an even walk of length 2; the
-    # exponent 2 is witnessed at the first vertex and itself.
-    return ParityProfile(
-        order=sum(part_sizes),
-        connected=True,
-        bipartite=False,
-        odd_girth=3,
-        diameter=1 if all(s == 1 for s in part_sizes) else 2,
-        odd_diameter=3,
-        even_diameter=2,
-        witness_pair=(0, 0),
-    )
+    return 2 if d == 1 else d
 
 
 def predict_multipartite_factor(
     s_g: ParityProfile, part_sizes: Sequence[int]
-) -> DiameterPrediction:
-    """Connected factor times a complete multipartite graph on 3+ parts."""
+) -> ExtLen:
+    """Diameter of a connected factor times a complete multipartite graph.
+
+    The multipartite factor has three or more parts, so its diameter is at
+    most 2 and its exponent is 2.  The product diameter is the first
+    factor's from 3 on, and otherwise 2 or 3 by its exponent.
+    """
     _require(len(part_sizes) >= 3, "multipartite factor: need at least 3 parts")
     _require(all(s >= 1 for s in part_sizes), "multipartite factor: empty part")
     _require(s_g.connected, "first factor: must be connected")
     _require(s_g.diameter >= 1, "first factor: diameter must be at least 1")
     d = s_g.diameter
     if d >= 3:
-        value: ExtLen = d
-    elif s_g.exponent <= 2:
-        value = 2
-    else:
-        value = 3
-    return _prediction(value, s_g, _multipartite_profile(part_sizes))
+        return d
+    return 2 if s_g.exponent <= 2 else 3
 
 
-def predict_family_product(
-    s1: ParityProfile, s2: ParityProfile
-) -> DiameterPrediction:
-    """Product where the first factor's exponent is exactly twice its diameter.
+def predict_family_product(s1: ParityProfile, s2: ParityProfile) -> ExtLen:
+    """Diameter of a product whose first factor's exponent is twice its diameter.
 
     The path-plus-clique and path-plus-odd-cycle families have this
     property.  Against a bipartite factor the diameter is
@@ -191,23 +157,20 @@ def predict_family_product(
     _require(s2.diameter >= 1, "second factor: diameter must be at least 1")
     d1, d2 = s1.diameter, s2.diameter
     if s2.bipartite:
-        value: ExtLen = max(2 * d1 + 1, d2)
-    else:
-        _require(
-            s2.exponent == 2 * s2.diameter,
-            "second factor: exponent must equal twice the diameter",
-        )
-        if d1 == d2:
-            value = 2 * d1
-        elif d1 > d2:
-            value = max(d1, 2 * d2 + 1)
-        else:
-            value = max(d2, 2 * d1 + 1)
-    return _prediction(value, s1, s2)
+        return max(2 * d1 + 1, d2)
+    _require(
+        s2.exponent == 2 * s2.diameter,
+        "second factor: exponent must equal twice the diameter",
+    )
+    if d1 == d2:
+        return 2 * d1
+    if d1 > d2:
+        return max(d1, 2 * d2 + 1)
+    return max(d2, 2 * d1 + 1)
 
 
-def predict_all_loops(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction:
-    """Product of two connected factors with a loop on every vertex.
+def predict_all_loops(s1: ParityProfile, s2: ParityProfile) -> ExtLen:
+    """Product diameter of two connected factors with a loop on every vertex.
 
     Loops give walks of every length at least the distance, so each
     exponent equals the diameter and the product diameter is the larger
@@ -217,4 +180,4 @@ def predict_all_loops(s1: ParityProfile, s2: ParityProfile) -> DiameterPredictio
     for label, s in (("first", s1), ("second", s2)):
         _require(s.order >= 2, f"{label} factor: order must be at least 2")
         _require(s.connected, f"{label} factor: must be connected")
-    return _prediction(max(s1.diameter, s2.diameter), s1, s2)
+    return max(s1.diameter, s2.diameter)

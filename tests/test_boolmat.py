@@ -84,12 +84,6 @@ def test_oracle_exponent_examples():
     assert oracle_exponent(make_cycle(4)) == INF
 
 
-def test_oracle_cap():
-    assert oracle_exponent(make_cycle(5), cap=3) == INF
-    with pytest.raises(ValueError):
-        oracle_exponent(make_cycle(5), cap=0)
-
-
 def test_kron_matrix_examples():
     k2 = adjacency(make_complete(2))
     product = kron_matrix(k2, k2)

@@ -152,6 +152,10 @@ def _off_by_one(field):
     return mutate
 
 
+def _one_more(real):
+    return lambda *args: real(*args) + 1
+
+
 def _negated(real):
     return lambda g: not real(g)
 
@@ -187,6 +191,10 @@ def _shifted_spans(odd, even):
         ("Thm3.4", "is_k_plus", _negated),  # the closed form
         ("CorK2", "summarize", _shifted_spans(1, 1)),  # the closed form
         ("ParityRoute", "summarize", _shifted_spans(2, 0)),  # the closed form
+        ("Thm3.5", "predict_k_plus_factor", _one_more),  # the closed form
+        ("ThmMultipartite", "predict_multipartite_factor", _one_more),
+        ("CorHF", "predict_family_product", _one_more),
+        ("CorLoops", "predict_all_loops", _one_more),
     ],
 )
 def test_closed_form_claims_catch_a_broken_route(monkeypatch, claim_id, name, mutate):

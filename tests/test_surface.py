@@ -8,8 +8,9 @@ route uses it.  The only exceptions are the names below, kept for outside
 callers.
 
 Each name has one definition: the profile reader lives in ``walks`` alone,
-the harness package binds only its submodules, and the prediction record
-copies no field of the profiles it was given.
+the harness package binds only its submodules, the prediction record
+copies no field of the profiles it was given, and only the main predictor
+builds that record.
 """
 
 import tokenize
@@ -74,3 +75,10 @@ def test_the_harness_package_re_exports_nothing():
 def test_the_prediction_record_holds_only_what_the_predictor_decided():
     # The factor exponents and diameters stay in the profiles.
     assert kronwalk.DiameterPrediction._fields == ("value", "case", "bounds")
+
+
+def test_only_the_main_predictor_builds_a_record():
+    # The corollary closed forms return the length their theorem states, so
+    # no record builder and no hand-typed multipartite profile remain.
+    assert not hasattr(kronwalk.predict, "_prediction")
+    assert not hasattr(kronwalk.predict, "_multipartite_profile")

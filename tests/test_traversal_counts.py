@@ -95,14 +95,12 @@ def test_k_plus_check_runs_no_traversal_of_its_factors(traversals, pair):
 @pytest.mark.parametrize(
     "pair", [(make_cycle(5), make_cycle(3)), (make_complete(2), make_cycle(3))]
 )
-def test_mixed_parity_check_gates_on_the_parity_tables(traversals, pair):
-    # The primitivity gate reads each factor's profile, and stops at K2; past
-    # it, the bound reads each factor's walk levels.
+def test_mixed_parity_check_gates_on_the_walk_levels(traversals, pair):
+    # The primitivity gate and the bound read the same walk levels, one scan
+    # per factor, and no profile; K2 is refused at the gate.
     assert claims.REGISTRY["Lem2.7"].check(pair) is None
     levels = ("walk_levels", "_recall")
-    primitive = pair[0].order > 2
-    expected = [MEMO_PROFILE, MEMO_PROFILE, levels, levels] if primitive else [MEMO_PROFILE]
-    assert traversals == expected
+    assert traversals == [levels, levels]
 
 
 @pytest.fixture
