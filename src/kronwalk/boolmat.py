@@ -4,12 +4,14 @@ This is the independent verification channel for exponents: the exponent of
 a graph is the first power of its adjacency matrix with every entry set,
 and that computation shares no code with the walk-based one.  Rows are
 arbitrary-precision integer bitsets, so a boolean product is just an OR of
-selected rows.
+selected rows.  The one power loop is :func:`bool_powers`, and the one
+Kronecker bit layout is :func:`kron_lift`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from .extlen import INF, ExtLen
 from .graphs import Graph
@@ -21,16 +23,9 @@ class BoolMatrix(NamedTuple):
     dim: int
     rows: tuple[int, ...]
 
-    def bit(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
     def is_all_ones(self) -> bool:
         full = (1 << self.dim) - 1
         return all(row == full for row in self.rows)
-
-
-def identity(n: int) -> BoolMatrix:
-    return BoolMatrix(n, tuple(1 << i for i in range(n)))
 
 
 def adjacency(g: Graph) -> BoolMatrix:
@@ -57,14 +52,33 @@ def bool_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     return BoolMatrix(a.dim, tuple(out))
 
 
+def bool_powers(a: BoolMatrix) -> Iterator[BoolMatrix]:
+    """The powers ``A, A^2, A^3, ...`` of ``a``, each computed when asked for."""
+    power = a
+    while True:
+        yield power
+        power = bool_mul(power, a)
+
+
 def bool_pow(a: BoolMatrix, k: int) -> BoolMatrix:
-    """k-th power by iterated multiplication, k >= 1."""
+    """k-th power, k >= 1."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    result = a
-    for _ in range(k - 1):
-        result = bool_mul(result, a)
-    return result
+    return next(islice(bool_powers(a), k - 1, None))
+
+
+def kron_lift(a: BoolMatrix, b: BoolMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rows of ``A x J`` and of ``J x B``, ``J`` all ones, in the row-major layout.
+
+    Row ``i1 * b.dim + i2`` of the first has bit ``j1 * b.dim + j2`` iff ``a``
+    has ``(i1, j1)``: a row of ``a`` spread over blocks of ``b.dim`` bits.  Of
+    the second, iff ``b`` has ``(i2, j2)``: a row of ``b`` tiled ``a.dim`` times.
+    """
+    n1, n2 = a.dim, b.dim
+    block, tile = (1 << n2) - 1, sum(1 << j * n2 for j in range(n1))
+    spread = [sum(block << j * n2 for j in range(n1) if row >> j & 1) for row in a.rows]
+    tiled = [row * tile for row in b.rows]
+    return tuple(r for r in spread for _ in range(n2)), tuple(tiled * n1)
 
 
 def kron_matrix(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
@@ -72,19 +86,10 @@ def kron_matrix(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
 
     Row ``i1 * b.dim + i2`` has bit ``j1 * b.dim + j2`` set iff ``a`` has
     ``(i1, j1)`` and ``b`` has ``(i2, j2)``, matching the product-graph
-    vertex encoding bit for bit.
+    vertex encoding bit for bit: the row-by-row AND of the two lifts.
     """
-    rows = []
-    for row_a in a.rows:
-        for row_b in b.rows:
-            acc = 0
-            remaining = row_a
-            while remaining:
-                low = remaining & -remaining
-                acc |= row_b << ((low.bit_length() - 1) * b.dim)
-                remaining ^= low
-            rows.append(acc)
-    return BoolMatrix(a.dim * b.dim, tuple(rows))
+    left, right = kron_lift(a, b)
+    return BoolMatrix(a.dim * b.dim, tuple(x & y for x, y in zip(left, right)))
 
 
 def oracle_exponent(g: Graph) -> ExtLen:
@@ -94,10 +99,5 @@ def oracle_exponent(g: Graph) -> ExtLen:
     twice its diameter, which is below ``2 * order``, so no positive power
     up to it is a non-primitivity verdict.
     """
-    a = adjacency(g)
-    power = a
-    for k in range(1, 2 * g.order + 1):
-        if power.is_all_ones():
-            return k
-        power = bool_mul(power, a)
-    return INF
+    powers = islice(bool_powers(adjacency(g)), 2 * g.order)
+    return next((k for k, p in enumerate(powers, 1) if p.is_all_ones()), INF)

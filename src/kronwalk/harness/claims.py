@@ -9,9 +9,10 @@ mutation that breaks a hypothesis simply stops failing.
 
 An equality claim is a closed form plus a named brute force: it registers
 through :func:`_closed_form_claim`, which compares the two and builds the
-failure.  Ground truth for product claims is always breadth-first search on
+failure.  Ground truth for product claims is always BFS or boolean powers on
 the explicitly constructed product (:func:`_product_diameter`,
-:func:`_product_connected`), never the formula under test.  A closed form's
+:func:`_product_connected`, :func:`_product_exponent`), never the formula
+under test or the parity scan behind the factor profiles.  A closed form's
 hypotheses are its predictor's refusals: the harness does not check them
 again, and an :class:`~kronwalk.graphs.OutsideHypotheses` from the predictor
 puts the instance outside the claim.  Any other error, a plain
@@ -28,7 +29,8 @@ check called on its own computes afresh.
 The walk lemmas are checked on those levels, as bitset rows: a product walk
 is a pair of factor walks of the same length, so level ``k`` of a product's
 walk scan holds the Kronecker product of its factors' level-``k`` rows.  No
-checker builds an n x n table of walk lengths or distances.
+checker builds an n x n table of walk lengths or distances, multiplies
+matrices or lays out Kronecker bits: those rules are ``boolmat``'s.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from ..boolmat import BoolMatrix, adjacency, bool_mul, kron_matrix
+from ..boolmat import BoolMatrix, adjacency, bool_powers, kron_lift, kron_matrix
+from ..boolmat import oracle_exponent
 from ..extlen import ExtLen, is_finite
 from ..graphs import (
     Graph,
@@ -65,7 +68,6 @@ from ..walks import (
     ParityProfile,
     _reach,
     diameter,
-    exponent,
     is_connected,
     summarize,
     walk_levels,
@@ -191,6 +193,10 @@ def _product_connected(g1: Graph, g2: Graph) -> bool:
     return is_connected(kronecker_product(g1, g2))
 
 
+def _product_exponent(g1: Graph, g2: Graph) -> ExtLen:
+    return oracle_exponent(kronecker_product(g1, g2))
+
+
 # ---------------------------------------------------------------------------
 # Structure recognizers (hypothesis gates work on the graphs alone)
 
@@ -308,7 +314,7 @@ def _bipartite_pool() -> list[Graph]:
     "Prop1.1",
     "exponent of a product of primitive factors is the larger factor exponent",
     _pair_instances,
-    lambda g1, g2: exponent(kronecker_product(g1, g2)).gamma,
+    _product_exponent,
 )
 def _larger_exponent(g1: Graph, g2: Graph) -> ExtLen | None:
     gamma = max(_summarize(g1).exponent, _summarize(g2).exponent)
@@ -326,10 +332,7 @@ def _check_local_exponent_onset(instance: Instance) -> Failure | None:
     # makes every length from the local exponent on a walk length.
     (g,) = instance
     levels = walk_levels(g)
-    a = adjacency(g)
-    powers = [a]
-    for _ in range(2 * g.order + 1):
-        powers.append(bool_mul(powers[-1], a))
+    powers = list(itertools.islice(bool_powers(adjacency(g)), 2 * g.order + 2))
     for k, power in enumerate(powers, 1):
         if _level(levels, k) != power.rows:
             return Failure(f"A^{k}", f"level {k}", "walk level differs from the power")
@@ -401,10 +404,8 @@ def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
 def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
     # A product pair within distance k needs, in one factor, a walk of one
     # parity and length at most k and, in the other, one of the other
-    # parity: bits of (O1 x all | all x E2) & (E1 x all | all x O2) for the
-    # latest odd and positive even factor levels O and E up to k.  Spread over
-    # blocks of n2 bits (g1's rows) or tiled n1 times (g2's), row (x1, x2) of
-    # that is (O1[x1] | E2[x2]) & (E1[x1] | O2[x2]).
+    # parity: bits of (O1 x J | J x E2) & (E1 x J | J x O2) for the latest
+    # odd and positive even factor levels O and E up to k, J all ones.
     g1, g2 = instance
     levels1, levels2 = _walk_levels(g1), _walk_levels(g2)
     n1, n2 = g1.order, g2.order
@@ -413,15 +414,13 @@ def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
     for n, levels in ((n1, levels1), (n2, levels2)):
         if any(row != (1 << n) - 1 for row in levels[-2] + levels[-1]):
             return None  # a factor is not primitive
-    block, tile = (1 << n2) - 1, sum(1 << y * n2 for y in range(n1))
-    latest = [([0] * n1, [0] * n2)] * 2  # even, odd; step k renews k's parity
+    latest = [((0,) * (n1 * n2),) * 2] * 2  # even, odd; step k renews k's parity
     for k, reached in enumerate(_reach(kronecker_product(g1, g2))):
         if k:
-            spread = [sum(block << y * n2 for y in range(n1) if r >> y & 1)
-                      for r in _level(levels1, k)]
-            latest[k % 2] = (spread, [r * tile for r in _level(levels2, k)])
+            w1, w2 = _level(levels1, k), _level(levels2, k)
+            latest[k % 2] = kron_lift(BoolMatrix(n1, w1), BoolMatrix(n2, w2))
         (e1, e2), (o1, o2) = latest
-        allowed = [(o | f) & (e | p) for o, e in zip(o1, e1) for p, f in zip(o2, e2)]
+        allowed = [(o | f) & (e | p) for o, e, p, f in zip(o1, e1, o2, e2)]
         for x, (row, ok) in enumerate(zip(reached, allowed)):
             close = row & ~ok & ~(1 << x)
             if close:

@@ -6,8 +6,9 @@ two factor profiles to the exact product diameter:
 the common exponent when the exponents agree, otherwise the larger of the
 smaller exponent plus one and the other factor's diameter.  A bipartite
 factor has infinite exponent and infinity compares greater than any finite
-value, which folds the bipartite case into the same trichotomy; two
-bipartite (or any disconnected) factors give a disconnected product.
+value, which folds the bipartite case into the same trichotomy.  Whether
+the product is disconnected is :func:`kronecker.product_is_connected`'s
+verdict (Weichsel's criterion), which this module does not restate.
 
 Alongside the general formula this module evaluates the special closed
 forms: a complete-with-loops factor, a complete multipartite factor,
@@ -27,6 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .extlen import INF, ExtLen, is_finite
 from .graphs import OutsideHypotheses
+from .kronecker import product_is_connected
 from .walks import ParityProfile
 
 CASE_EQUAL_EXPONENTS = "EqualExponents"
@@ -67,13 +69,13 @@ def diameter_bounds(s1: ParityProfile, s2: ParityProfile) -> Bounds:
 def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction:
     """Exact product diameter from the factor exponents and diameters.
 
-    Disconnected factors, or two bipartite ones, yield a Disconnected
-    prediction with infinite value.  An order-one factor is its own case: a
-    looped single vertex (exponent 1) is a multiplicative identity, so the
-    product keeps the other factor's diameter; a bare single vertex makes
-    the product edgeless, disconnected against order two or more and a
-    single vertex (diameter 0) otherwise.  Otherwise the larger exponent
-    names the case.  Bounds need both orders at least 2.
+    A looped single vertex (exponent 1) is a multiplicative identity, so
+    the product keeps the other factor's diameter, and two single vertices
+    give a single vertex (diameter 0): the OrderOneFactor case.  Otherwise
+    a disconnected factor or product (two bipartite factors, or a bare
+    single vertex against order two or more) is the Disconnected case, with
+    infinite value.  Otherwise the larger exponent names the case.  Bounds
+    need both orders at least 2.
     """
     g1, g2 = s1.exponent, s2.exponent
     one, other = (s1, s2) if s1.order == 1 else (s2, s1)
@@ -82,9 +84,7 @@ def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction
         value, case = other.diameter, CASE_ORDER_ONE
     elif one.order == 1 and other.order == 1:
         value, case = 0, CASE_ORDER_ONE
-    elif one.order == 1 or not s1.connected or not s2.connected:
-        value, case = INF, CASE_DISCONNECTED
-    elif s1.bipartite and s2.bipartite:
+    elif not (s1.connected and s2.connected and product_is_connected(s1, s2)):
         value, case = INF, CASE_DISCONNECTED
     elif g1 == g2:
         value, case = g1, CASE_EQUAL_EXPONENTS

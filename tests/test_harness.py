@@ -31,6 +31,7 @@ from kronwalk.harness.claims import (
     complete_multipartite_parts,
 )
 from kronwalk.harness.ensembles import EnsembleSpec, connected_graphs, with_all_loops
+from kronwalk.walks import ParityProfile
 
 from helpers import enumerate_graphs, labeled_graphs
 
@@ -141,17 +142,6 @@ def test_sandwich_claim_checks_bipartite_pairs(monkeypatch):
     assert REGISTRY["Thm3.2"].check(pair) is not None
 
 
-def _off_by_one(field):
-    def mutate(real):
-        def wrong(g):
-            value = real(g)
-            return value._replace(**{field: getattr(value, field) + 1})
-
-        return wrong
-
-    return mutate
-
-
 def _one_more(real):
     return lambda *args: real(*args) + 1
 
@@ -185,7 +175,7 @@ def _shifted_spans(odd, even):
 @pytest.mark.parametrize(
     "claim_id, name, mutate",
     [
-        ("Prop1.1", "exponent", _off_by_one("gamma")),  # the brute force
+        ("Prop1.1", "oracle_exponent", _one_more),  # the brute force
         ("Lem2.4", "is_connected", _negated),  # the brute force
         ("Lem2.4", "summarize", _flipped_bipartite),  # the closed form
         ("Thm3.4", "is_k_plus", _negated),  # the closed form
@@ -231,8 +221,23 @@ def _scan_a_level_short(monkeypatch):
 
 
 def _powers_a_step_ahead(monkeypatch):
-    real = claims.bool_mul
-    monkeypatch.setattr(claims, "bool_mul", lambda a, b: real(real(a, b), b))
+    real = claims.bool_powers
+
+    def ahead(a):
+        return itertools.islice(real(a), 1, None)
+
+    monkeypatch.setattr(claims, "bool_powers", ahead)
+
+
+def _lift_missing_a_tile(monkeypatch):
+    # Every row of J x B loses its first tile, the columns (0, j2).
+    real = claims.kron_lift
+
+    def lift(a, b):
+        left, right = real(a, b)
+        return left, tuple(row & ~((1 << b.dim) - 1) for row in right)
+
+    monkeypatch.setattr(claims, "kron_lift", lift)
 
 
 @pytest.mark.parametrize(
@@ -240,6 +245,7 @@ def _powers_a_step_ahead(monkeypatch):
     [
         ("Lem2.5", _product_levels_two_behind),  # the truth
         ("Lem2.7", _reach_a_step_ahead),  # the truth
+        ("Lem2.7", _lift_missing_a_tile),  # the factor bound
         ("Lem2.2", _scan_a_level_short),  # the periodic extension
         ("Lem2.2", _powers_a_step_ahead),  # the boolean route
     ],
@@ -248,6 +254,15 @@ def _powers_a_step_ahead(monkeypatch):
 def test_walk_lemma_claims_catch_a_broken_scan(monkeypatch, claim_id, mutate):
     mutate(monkeypatch)
     (outcome,) = run_campaign([claim_id], SMALL, seed=0)
+    assert outcome.counterexample is not None
+
+
+def test_exponent_claim_catches_a_profile_exponent_one_too_high(monkeypatch):
+    # The closed form reads the factor exponents off the parity profiles; the
+    # truth, the boolean powers of the built product, reads no profile.
+    too_high = property(lambda s: max(s.odd_diameter, s.even_diameter))
+    monkeypatch.setattr(ParityProfile, "exponent", too_high)
+    (outcome,) = run_campaign(["Prop1.1"], SMALL, seed=0)
     assert outcome.counterexample is not None
 
 

@@ -11,7 +11,11 @@ import inside a function counts too.
 Within ``walks``, the reach scan behind ``diameter`` is the ground truth on
 every built product, which the parity level scan behind the profiles and
 ``walk_levels`` is checked against, so neither scan names the other.  The
-harness's walk-lemma checkers take that truth from the built product.
+harness's walk-lemma checkers take that truth from the built product, and
+``Prop1.1`` takes its truth from the boolean powers of the built product,
+never from the parity scan that gives its closed form the factor exponents.
+The power loop lives in ``boolmat`` alone, so the harness never multiplies
+matrices itself.
 """
 
 import ast
@@ -57,15 +61,23 @@ def test_the_reader_sees_relative_imports():
     assert "walks" in _imported_modules("kronecker")
 
 
+def _names(node: ast.AST) -> set[str]:
+    """Every name, attribute and imported name under ``node``."""
+    return (
+        {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        | {a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom)
+           for a in n.names}
+    )
+
+
 def _names_in_function(module: str, function: str) -> set[str]:
     """Every name and attribute that ``kronwalk.<module>.<function>`` mentions."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     (node,) = [
         n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function
     ]
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    }
+    return _names(node)
 
 
 @pytest.mark.parametrize("function", ["diameter", "_reach"])
@@ -93,6 +105,20 @@ def test_walk_lemmas_read_the_built_product(checker, truth):
     assert truth <= _names_in_function("harness/claims", checker)
 
 
+def test_exponent_claim_reads_the_boolean_powers_of_the_built_product():
+    # Prop1.1's closed form reads the factor exponents off the parity scan,
+    # so its truth must not.
+    names = _names_in_function("harness/claims", "_product_exponent")
+    assert {"oracle_exponent", "kronecker_product"} <= names
+    assert not names & {"summarize", "exponent", "walk_levels", "_levels"}
+
+
+def test_the_harness_never_multiplies_matrices():
+    # Lem2.2 reads boolmat's power sequence, and Prop1.1 its oracle.
+    tree = ast.parse((PACKAGE / "harness/claims.py").read_text(encoding="utf-8"))
+    assert "bool_mul" not in _names(tree)
+
+
 @pytest.mark.parametrize(
     "module, function", [("cycles", "l_o_bound"), ("kronecker", "product_is_connected")]
 )
@@ -103,6 +129,14 @@ def test_connectivity_and_bipartiteness_come_from_the_profile(module, function):
     names = _names_in_function(module, function)
     assert not names & {"is_bipartite", "is_connected"}
     assert {"connected", "bipartite"} <= names
+
+
+def test_the_predictor_reads_weichsels_rule_from_kronecker():
+    # predict_diameter's Disconnected case is product_is_connected's verdict,
+    # the rule Lem2.4 checks, and the predictor does not restate it.
+    names = _names_in_function("predict", "predict_diameter")
+    assert "product_is_connected" in names
+    assert "bipartite" not in names
 
 
 def test_the_reader_sees_each_scan_where_it_runs():
