@@ -11,7 +11,6 @@ from .boolmat import (
     BoolMatrix,
     adjacency,
     bool_mul,
-    bool_pow,
     kron_matrix,
     oracle_exponent,
 )
@@ -28,7 +27,6 @@ from .graphs import (
     MAX_ORDER,
     MAX_TABLE_ORDER,
     Graph,
-    is_k_plus,
     make_complete,
     make_complete_multipartite,
     make_cycle,
@@ -81,7 +79,6 @@ __all__ = [
     "ParityProfile",
     "adjacency",
     "bool_mul",
-    "bool_pow",
     "diameter",
     "diameter_bounds",
     "enumerate_odd_cycles",
@@ -90,7 +87,6 @@ __all__ = [
     "is_bipartite",
     "is_connected",
     "is_finite",
-    "is_k_plus",
     "kron_matrix",
     "kronecker_product",
     "l_o_bound",

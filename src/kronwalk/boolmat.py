@@ -60,13 +60,6 @@ def bool_powers(a: BoolMatrix) -> Iterator[BoolMatrix]:
         power = bool_mul(power, a)
 
 
-def bool_pow(a: BoolMatrix, k: int) -> BoolMatrix:
-    """k-th power, k >= 1."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    return next(islice(bool_powers(a), k - 1, None))
-
-
 def kron_lift(a: BoolMatrix, b: BoolMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Rows of ``A x J`` and of ``J x B``, ``J`` all ones, in the row-major layout.
 

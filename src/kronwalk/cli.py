@@ -3,8 +3,10 @@
 Commands: ``metrics`` (walk metrics of one graph), ``product`` (measure a
 Kronecker product's diameter from the factors, compare it with the
 prediction, and optionally write the product out), ``predict``
-(closed-form prediction only), ``verify`` (run claim checkers), and
-``generate`` (construct a graph and write it out).
+(closed-form prediction only), ``verify`` (report the claim campaign that
+``harness.campaign.run_campaign`` runs), and ``generate`` (construct a
+graph and write it out).  Each command reads its flags, calls the library
+and builds one document from what it returns.
 
 Graphs are given either as an edge-list file path or as a family
 expression: ``path:n``, ``cycle:n``, ``complete:n``, ``complete+:n``,
@@ -37,12 +39,7 @@ from .graphs import (
     make_path,
     random_graph,
 )
-from .harness.campaign import (
-    counterexample_to_json,
-    get_claim,
-    minimize_counterexample,
-    run_campaign,
-)
+from .harness.campaign import CheckOutcome, run_campaign
 from .harness.claims import CLAIM_IDS
 from .harness.ensembles import EnsembleSpec
 from .kronecker import kronecker_product, product_diameter, product_edge_count
@@ -177,6 +174,24 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _outcome_json(outcome: CheckOutcome) -> dict:
+    failure, counterexample = outcome.failure, None
+    if failure is not None:
+        counterexample = {
+            "graphs": [graph_to_json(g) for g in outcome.counterexample],
+            "expected": to_json(failure.expected),
+            "actual": to_json(failure.actual),
+            "detail": failure.detail,
+        }
+    return {
+        "claim_id": outcome.claim.claim_id,
+        "description": outcome.claim.description,
+        "instances_checked": outcome.instances_checked,
+        "pass": failure is None,
+        "counterexample": counterexample,
+    }
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     # Exhaustive sweeps hold one graph per isomorphism class of each order,
     # found by marking every relabeling, so the orders stop at the library's
@@ -196,47 +211,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if not claim_ids:
         raise ValueError(f"--claims names no claim: {args.claims!r}")
-    for claim_id in claim_ids:
-        get_claim(claim_id)  # fail fast on unknown ids
     ensemble = EnsembleSpec(exhaustive_order=args.exhaustive, random_count=args.random)
     outcomes = run_campaign(claim_ids, ensemble, args.seed)
     # A claim that checked nothing has shown nothing, so it cannot pass.
-    unchecked = [o.claim_id for o in outcomes if not o.instances_checked]
+    unchecked = [o.claim.claim_id for o in outcomes if not o.instances_checked]
     if unchecked:
         raise ValueError(
             f"--exhaustive {args.exhaustive} --random {args.random} gives no "
             f"instance to {', '.join(unchecked)}"
         )
-    results = []
-    failed = False
-    for outcome in outcomes:
-        entry = {
-            "claim_id": outcome.claim_id,
-            "description": get_claim(outcome.claim_id).description,
-            "instances_checked": outcome.instances_checked,
-            "pass": outcome.counterexample is None,
-            "counterexample": None,
-        }
+    for o in outcomes:
         _progress(
-            f"{outcome.claim_id}: {outcome.instances_checked} instances "
-            f"in {outcome.elapsed:.2f}s"
+            f"{o.claim.claim_id}: {o.instances_checked} instances in {o.elapsed:.2f}s"
         )
-        if outcome.counterexample is not None:
-            failed = True
-            claim = get_claim(outcome.claim_id)
-            minimized = minimize_counterexample(claim, outcome.counterexample)
-            entry["counterexample"] = counterexample_to_json(
-                minimized, claim.check(minimized)
-            )
-        results.append(entry)
+    passed = all(o.failure is None for o in outcomes)
     _emit(
         {
             "seed": args.seed,
-            "claims": results,
-            "pass": not failed,
+            "claims": [_outcome_json(o) for o in outcomes],
+            "pass": passed,
         }
     )
-    return 2 if failed else 0
+    return 0 if passed else 2
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

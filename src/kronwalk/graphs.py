@@ -11,7 +11,9 @@ Besides the core type this module provides the named family constructors
 (paths, cycles, complete graphs with or without loops, complete multipartite
 graphs, and the path-plus-clique / path-plus-cycle families), seeded random
 generation, and exhaustive enumeration of small graphs, one per
-isomorphism class.
+isomorphism class.  It holds the size limits that every module checks: no
+graph has more than ``MAX_ORDER`` vertices, and no dense family graph,
+random graph or product more than ``MAX_EDGES`` edges.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ ENUM_CAP_LOOPLESS = 5
 ENUM_CAP_LOOPED = 4
 # Largest order any graph may have, products included.
 MAX_ORDER = 100_000
-# Largest edge count of a dense family graph or a product; each listed edge
-# costs a few hundred bytes until the graph is built.
+# Largest edge count of a dense family graph, a random graph or a product;
+# each listed edge costs a few hundred bytes until the graph is built.
 MAX_EDGES = 1_000_000
 # Largest order of a graph given an all-sources scan.  No scan builds an
 # all-pairs table: the reach scan behind `diameter` keeps two levels of n-bit
@@ -254,7 +256,9 @@ def random_graph(n: int, edge_prob: float, loop_prob: float, seed: int) -> Graph
     """Independent-edge random graph, deterministic for a fixed seed.
 
     Pairs are decided in lexicographic order, then loops vertex by vertex,
-    so the same seed reproduces the same graph on any platform.
+    so the same seed reproduces the same graph on any platform.  An edge
+    count above MAX_EDGES is refused after the row of pairs that passes it,
+    so the list never outgrows the limit by more than one row.
     """
     if n < 1:
         raise ValueError("graph order must be at least 1")
@@ -263,13 +267,12 @@ def random_graph(n: int, edge_prob: float, loop_prob: float, seed: int) -> Graph
         if not 0 <= prob <= 1:
             raise ValueError(f"{name} must lie in [0, 1]")
     rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < edge_prob
-    ]
+    edges: list[tuple[int, int]] = []
+    for u in range(n):
+        edges.extend((u, v) for v in range(u + 1, n) if rng.random() < edge_prob)
+        check_edges(len(edges))
     edges.extend((v, v) for v in range(n) if rng.random() < loop_prob)
+    check_edges(len(edges))
     return Graph(n, edges)
 
 
@@ -306,9 +309,3 @@ def unlabeled_graphs(n: int, allow_loops: bool = False) -> Iterator[Graph]:
         for table in tables:
             marked[sum(compress(table, present))] = 1
         yield Graph(n, compress(slots, present))
-
-
-def is_k_plus(g: Graph) -> bool:
-    """True iff every vertex has a loop and all vertex pairs are adjacent."""
-    n = g.order
-    return all(len(g.neighbors(u)) == n and g.has_loop(u) for u in range(n))

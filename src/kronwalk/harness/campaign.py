@@ -1,8 +1,11 @@
-"""Campaign driver: run claim checkers, collect and shrink counterexamples.
+"""Campaign runner: run each claim's checker and shrink its counterexample.
 
 A campaign is deterministic in (claims, ensemble, seed): the random stream
 of each claim is seeded from the campaign seed and the claim id, so adding
-or removing claims never shifts another claim's instances.
+or removing claims never shifts another claim's instances.  A claim stops
+at its first failing instance, which is shrunk to a locally minimal one;
+its record holds that instance and the check's failure on it, so a reporter
+only formats what the campaign found.
 """
 
 from __future__ import annotations
@@ -11,41 +14,38 @@ import random
 import time
 from typing import Iterator, NamedTuple
 
-from ..edgelist import graph_to_json
-from ..extlen import to_json
 from .claims import CLAIM_IDS, REGISTRY, Claim, Failure, Instance, memo_profiles
 from .ensembles import EnsembleSpec
 
 
 class CheckOutcome(NamedTuple):
-    """A claim's run: ``counterexample`` is its first failing instance."""
+    """A claim's run: ``counterexample`` is its first failing instance,
+    shrunk, and ``failure`` what the claim's check reports on it."""
 
-    claim_id: str
+    claim: Claim
     instances_checked: int
     counterexample: Instance | None
+    failure: Failure | None
     elapsed: float
-
-
-def get_claim(claim_id: str) -> Claim:
-    try:
-        return REGISTRY[claim_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}"
-        ) from None
 
 
 def run_campaign(
     claim_ids: list[str], ensemble: EnsembleSpec, seed: int
 ) -> list[CheckOutcome]:
-    """Check each claim over its ensemble, stopping a claim at its first failure."""
+    """Check each claim over its ensemble, stopping a claim at its first failure.
+
+    Every id is looked up before any claim runs, so an unknown one is refused
+    at once.  Claims are read from ``REGISTRY`` at call time.
+    """
+    unknown = [claim_id for claim_id in claim_ids if claim_id not in REGISTRY]
+    if unknown:
+        raise ValueError(f"unknown claim {unknown[0]!r}; known: {', '.join(CLAIM_IDS)}")
     outcomes = []
-    for claim_id in claim_ids:
-        claim = get_claim(claim_id)
-        rng = random.Random(f"{seed}:{claim_id}")
+    for claim in [REGISTRY[claim_id] for claim_id in claim_ids]:
+        rng = random.Random(f"{seed}:{claim.claim_id}")
         start = time.perf_counter()
         checked = 0
-        counterexample = None
+        counterexample = failure = None
         # The pair pools reuse each factor many times; a fresh memo per claim
         # profiles it once, and a check run outside a campaign computes afresh.
         with memo_profiles():
@@ -54,14 +54,11 @@ def run_campaign(
                 if claim.check(instance) is not None:
                     counterexample = instance
                     break
-        outcomes.append(
-            CheckOutcome(
-                claim_id=claim_id,
-                instances_checked=checked,
-                counterexample=counterexample,
-                elapsed=time.perf_counter() - start,
-            )
-        )
+        elapsed = time.perf_counter() - start
+        if counterexample is not None:
+            counterexample = minimize_counterexample(claim, counterexample)
+            failure = claim.check(counterexample)
+        outcomes.append(CheckOutcome(claim, checked, counterexample, failure, elapsed))
     return outcomes
 
 
@@ -91,15 +88,3 @@ def minimize_counterexample(claim: Claim, instance: Instance) -> Instance:
         if smaller is None:
             return instance
         instance = smaller
-
-
-def counterexample_to_json(graphs: Instance, failure: Failure) -> dict:
-    def value(obj: object) -> object:
-        return to_json(obj) if isinstance(obj, (int, float)) else obj
-
-    return {
-        "graphs": [graph_to_json(g) for g in graphs],
-        "expected": value(failure.expected),
-        "actual": value(failure.actual),
-        "detail": failure.detail,
-    }

@@ -47,7 +47,6 @@ from ..extlen import ExtLen, is_finite
 from ..graphs import (
     Graph,
     OutsideHypotheses,
-    is_k_plus,
     make_complete,
     make_complete_multipartite,
     make_cycle,
@@ -563,7 +562,7 @@ def _main_formula(g1: Graph, g2: Graph) -> ExtLen:
 def _both_k_plus(g1: Graph, g2: Graph) -> bool | None:
     if g1.order < 2 or g2.order < 2:
         return None
-    return is_k_plus(g1) and is_k_plus(g2)
+    return _summarize(g1).is_k_plus and _summarize(g2).is_k_plus
 
 
 @_closed_form_claim(

@@ -156,6 +156,13 @@ def labeled_graphs(min_order: int = 1) -> Iterator[Graph]:
             yield from enumerate_graphs(n, allow_loops=loops)
 
 
+def is_k_plus(g: Graph) -> bool:
+    """True iff every vertex has a loop and all vertex pairs are adjacent,
+    read off the neighbour tuples and not off a walk scan."""
+    n = g.order
+    return all(len(g.neighbors(u)) == n and g.has_loop(u) for u in range(n))
+
+
 def relabelled(g: Graph, labels) -> Graph:
     """The copy of ``g`` in which vertex ``u`` is called ``labels[u]``."""
     return Graph(g.order, [(labels[u], labels[v]) for u, v in g.edges()])

@@ -359,6 +359,15 @@ def test_generate_random_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+def test_generate_refuses_a_random_graph_above_the_edge_limit(monkeypatch, capsys):
+    import kronwalk.graphs as graphs_module
+
+    monkeypatch.setattr(graphs_module, "MAX_EDGES", 10)
+    code, out, err = run_cli(capsys, "generate", "random:9", "--edge-prob", "1")
+    assert code == 1 and out == ""
+    assert err == "error: random:9: edge count 15 exceeds the limit of 10\n"
+
+
 def test_generate_json_format(tmp_path, capsys):
     out_path = tmp_path / "g.json"
     code, out, _ = run_cli(

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from kronwalk import (
     Graph,
-    is_k_plus,
     make_complete,
     make_complete_multipartite,
     make_cycle,
@@ -19,7 +18,7 @@ import kronwalk.graphs as graphs_module
 from kronwalk.harness.claims import are_isomorphic
 from kronwalk.walks import is_bipartite, is_connected
 
-from helpers import enumerate_graphs, graphs, labeled_graphs
+from helpers import enumerate_graphs, graphs, is_k_plus, labeled_graphs
 
 
 def test_order_must_be_positive():
@@ -209,6 +208,17 @@ def test_random_graph_extremes():
         random_graph(5, 1.5, 0, 3)
     with pytest.raises(ValueError):
         random_graph(5, 0, -0.1, 3)
+
+
+def test_random_graph_refuses_an_edge_count_above_the_limit(monkeypatch):
+    # At edge_prob 1 the rows of pairs on 9 vertices hold 8, 7, 6, ... edges,
+    # so under a limit of 10 the draw stops after its second row, at 15 of
+    # the 36 pairs.  Loops count as edges: K5 has 10, and 15 with its loops.
+    monkeypatch.setattr(graphs_module, "MAX_EDGES", 10)
+    assert random_graph(5, 1, 0, 3) == make_complete(5)
+    for n, loop_prob in ((9, 0), (5, 1)):
+        with pytest.raises(ValueError, match="^edge count 15 exceeds the limit of 10$"):
+            random_graph(n, 1, loop_prob, 3)
 
 
 def test_random_graph_deterministic():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -80,7 +81,7 @@ def test_readme_counts_the_further_claims():
 
 def test_full_registry_passes_on_small_ensembles():
     outcomes = run_campaign(list(CLAIM_IDS), SMALL, seed=5)
-    failures = {o.claim_id: o.counterexample for o in outcomes if o.counterexample}
+    failures = {o.claim.claim_id: o.failure for o in outcomes if o.failure}
     assert failures == {}
     assert all(o.instances_checked > 0 for o in outcomes)
 
@@ -88,8 +89,8 @@ def test_full_registry_passes_on_small_ensembles():
 def test_campaign_is_deterministic():
     first = run_campaign(["Thm3.3", "Prop1.1"], SMALL, seed=9)
     second = run_campaign(["Thm3.3", "Prop1.1"], SMALL, seed=9)
-    assert [(o.claim_id, o.instances_checked) for o in first] == [
-        (o.claim_id, o.instances_checked) for o in second
+    assert [(o.claim.claim_id, o.instances_checked) for o in first] == [
+        (o.claim.claim_id, o.instances_checked) for o in second
     ]
     # claim streams are seeded per claim id, so a subset sees the same
     # instances
@@ -178,7 +179,7 @@ def _shifted_spans(odd, even):
         ("Prop1.1", "oracle_exponent", _one_more),  # the brute force
         ("Lem2.4", "is_connected", _negated),  # the brute force
         ("Lem2.4", "summarize", _flipped_bipartite),  # the closed form
-        ("Thm3.4", "is_k_plus", _negated),  # the closed form
+        ("Thm3.4", "summarize", _shifted_spans(0, 1)),  # the closed form
         ("CorK2", "summarize", _shifted_spans(1, 1)),  # the closed form
         ("ParityRoute", "summarize", _shifted_spans(2, 0)),  # the closed form
         ("Thm3.5", "predict_k_plus_factor", _one_more),  # the closed form
@@ -257,6 +258,14 @@ def test_walk_lemma_claims_catch_a_broken_scan(monkeypatch, claim_id, mutate):
     assert outcome.counterexample is not None
 
 
+def test_diameter_one_claim_reads_the_profiles_k_plus_test(monkeypatch):
+    # predict reads K+ off the profile, so Thm3.4 checks that reading: a test
+    # that also admits exponent 2 must be caught.
+    monkeypatch.setattr(ParityProfile, "is_k_plus", property(lambda s: s.exponent <= 2))
+    (outcome,) = run_campaign(["Thm3.4"], SMALL, seed=0)
+    assert outcome.counterexample is not None
+
+
 def test_exponent_claim_catches_a_profile_exponent_one_too_high(monkeypatch):
     # The closed form reads the factor exponents off the parity profiles; the
     # truth, the boolean powers of the built product, reads no profile.
@@ -307,9 +316,20 @@ def test_diameter_claim_compares_the_closed_form_with_bfs():
     assert check((make_cycle(3), make_cycle(5))) is None  # hypotheses unmet
 
 
-def test_unknown_claim_rejected():
-    with pytest.raises(ValueError, match="unknown claim"):
-        run_campaign(["bogus"], SMALL, seed=0)
+def test_unknown_claim_rejected(monkeypatch):
+    # Every id is looked up first, so a known claim before the unknown one
+    # neither draws an instance nor runs a check.
+    ran = []
+    real = REGISTRY["Thm3.4"]
+    traced = dataclasses.replace(
+        real,
+        instances=lambda spec, rng: ran.append("instances") or real.instances(spec, rng),
+        check=lambda instance: ran.append("check") or real.check(instance),
+    )
+    monkeypatch.setitem(REGISTRY, "Thm3.4", traced)
+    with pytest.raises(ValueError, match="^unknown claim 'nope'; known: Prop1.1, "):
+        run_campaign(["Thm3.4", "nope"], SMALL, seed=0)
+    assert ran == []
 
 
 def _buggy_claim():
@@ -352,6 +372,26 @@ def test_minimizer_finds_local_minimum_for_injected_bug():
         for u, v in g.edges():
             candidate = minimized[:i] + (g.remove_edge(u, v),) + minimized[i + 1 :]
             assert claim.check(candidate) is None
+
+
+def test_failing_campaign_records_the_shrunk_counterexample_and_its_failure(
+    monkeypatch,
+):
+    def instances(spec, rng):
+        yield (make_cycle(7),)
+
+    def check(instance):
+        (g,) = instance
+        return Failure("< 5 vertices", g.order, "too big") if g.order >= 5 else None
+
+    claim = Claim("big", "fails on five vertices or more", instances, check)
+    monkeypatch.setitem(REGISTRY, "big", claim)
+    (outcome,) = run_campaign(["big"], SMALL, seed=0)
+    assert outcome.claim is claim and outcome.instances_checked == 1
+    # C7 shrinks to five bare vertices: one vertex fewer passes, and no edge
+    # is left to delete.  The failure is the check's verdict on that graph.
+    assert outcome.counterexample == (Graph(5),)
+    assert outcome.failure == Failure("< 5 vertices", 5, "too big")
 
 
 def test_minimizer_returns_passing_instance_unchanged():

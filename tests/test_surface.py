@@ -23,11 +23,10 @@ import kronwalk.predict
 
 # The walk route's exponent report, which the benchmark's checks and the
 # tests call (ROADMAP item 11 deletes it once the benchmark reads the profile
-# instead), the boolean power that the tests compare matrix products with, the
-# odd girth that outside reference checks read, and the two-colouring search
-# that the tests and the benchmark's checks compare the profile's bipartite
-# flag with.
-KEPT_FOR_OUTSIDE_CALLERS = ("exponent", "bool_pow", "odd_girth", "is_bipartite")
+# instead), the odd girth that outside reference checks read, and the
+# two-colouring search that the tests and the benchmark's checks compare the
+# profile's bipartite flag with.
+KEPT_FOR_OUTSIDE_CALLERS = ("exponent", "odd_girth", "is_bipartite")
 
 PACKAGE = Path(kronwalk.__file__).parent
 

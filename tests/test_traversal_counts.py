@@ -83,13 +83,15 @@ def test_parity_extremal_check_runs_one_parity_traversal(traversals):
 
 
 @pytest.mark.parametrize(
-    "pair", [(make_complete(3, with_loops=True), make_complete(2, with_loops=True)),
-             (make_cycle(5), make_cycle(3))]
+    "pair, profiles",
+    [((make_complete(3, with_loops=True), make_complete(2, with_loops=True)), 2),
+     ((make_cycle(5), make_cycle(3)), 1)],
 )
-def test_k_plus_check_runs_no_traversal_of_its_factors(traversals, pair):
+def test_k_plus_check_reads_the_factor_profiles(traversals, pair, profiles):
     assert claims.REGISTRY["Thm3.4"].check(pair) is None
-    # Only the brute force runs: one reach scan over the built product.
-    assert traversals == [BRUTE_FORCE]
+    # The closed form reads K+ off the profiles, the second only when the
+    # first is K+; the brute force is one reach scan over the built product.
+    assert traversals == [MEMO_PROFILE] * profiles + [BRUTE_FORCE]
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from kronwalk import (
     exponent,
     is_bipartite,
     is_connected,
-    is_k_plus,
     make_complete,
     make_complete_multipartite,
     make_cycle,
@@ -35,6 +34,7 @@ from helpers import (
     dp_parity_minima,
     enumerate_graphs,
     graphs,
+    is_k_plus,
     labeled_graphs,
     relabelled,
     walk_profile,
