@@ -274,7 +274,11 @@ def _build_parser() -> _Parser:
 
     metrics = sub.add_parser("metrics", help="walk metrics of one graph")
     metrics.add_argument("graph", help="edge-list file or family expression")
-    metrics.add_argument("--cap-cycles", type=int, default=DEFAULT_CYCLE_CAP)
+    metrics.add_argument(
+        "--cap-cycles", type=int, default=DEFAULT_CYCLE_CAP,
+        help="most odd cycles the cycle bound considers; the search between "
+             "them is not capped, and on graphs such as grids it can be long",
+    )
     metrics.set_defaults(func=cmd_metrics)
 
     product = sub.add_parser("product", help="check the diameter of a product")

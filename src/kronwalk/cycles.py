@@ -7,20 +7,22 @@ from a vertex outside C to C.  Minimizing ``2 * ecc(C) + |C| - 1`` over all
 odd cycles therefore bounds the exponent from above on graphs of order two
 or more; loops participate as cycles of length one.
 
-The search for cycles of length three or more runs on the 2-core only:
-vertices with at most one neighbour besides themselves are peeled until none
-is left, since every vertex of such a cycle keeps its two cycle neighbours.
+The search for cycles of length three or more keeps one set of live vertices.
+A vertex dies once at most one live neighbour besides itself is left, since
+every vertex of such a cycle keeps its two cycle neighbours, and an anchor
+dies once its search ends.  So a chain dies with its first anchor, and is
+not searched again from each of its vertices.
 A cycle is scored by one breadth-first search from all its vertices at once
 (:func:`walks.eccentricity`), cut off at the depth from which its value could
 no longer beat the best so far, so the bound builds no all-pairs table.
 Whether the graph is connected and whether it is bipartite are read off the
 caller's parity profile: the bound refuses a disconnected graph, and answers
-a bipartite one, which has no odd cycle, without walking the 2-core's paths.
+a bipartite one, which has no odd cycle, without searching for cycles.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .extlen import INF, ExtLen
@@ -30,7 +32,6 @@ from .walks import ParityProfile, eccentricity
 DEFAULT_CYCLE_CAP = 100_000
 
 OddCycle = tuple[int, ...]
-Neighbors = Callable[[int], Sequence[int]]
 
 
 class CycleBoundReport(NamedTuple):
@@ -42,69 +43,61 @@ class CycleBoundReport(NamedTuple):
     cycles_considered: int
 
 
-def _core_neighbors(g: Graph) -> Neighbors:
-    """Sorted neighbours within the 2-core; peeled vertices have none.
-
-    A vertex is peeled while at most one neighbour other than itself is left.
-    When nothing is peeled the graph's own lists are returned, unchanged.
-    """
-    n = g.order
-    left = [len(g.neighbors(u)) - g.has_loop(u) for u in range(n)]
-    stack = [u for u in range(n) if left[u] <= 1]
-    if not stack:
-        return g.neighbors
-    peeled = [False] * n
-    for u in stack:
-        peeled[u] = True
-    while stack:
-        for w in g.neighbors(stack.pop()):
-            if not peeled[w]:
-                left[w] -= 1
-                if left[w] <= 1:
-                    peeled[w] = True
-                    stack.append(w)
-    return [
-        () if gone else tuple(w for w in g.neighbors(u) if not peeled[w])
-        for u, gone in enumerate(peeled)
-    ].__getitem__
-
-
-def _simple_cycles_from(neighbors: Neighbors, anchor: int) -> Iterator[OddCycle]:
-    # DFS path extension: only vertices above the anchor may join the path,
-    # and a closing is accepted only with path[1] < path[-1], so each odd
-    # cycle of length >= 3 appears exactly once, anchored at its minimum.
-    # An explicit stack holds one neighbor iterator per path vertex, so path
-    # length is not limited by the interpreter's recursion depth.
+def _simple_cycles_from(g: Graph, live: list[bool], anchor: int) -> Iterator[OddCycle]:
+    # DFS path extension over live vertices, each marked dead while it is on
+    # the path; every vertex below the anchor is dead for good by now.  A
+    # closing is accepted only with path[1] < path[-1], so each odd cycle of
+    # length >= 3 appears exactly once, anchored at its minimum.  An explicit
+    # stack holds one neighbor iterator per path vertex, so path length is
+    # not limited by the interpreter's recursion depth.
     path = [anchor]
-    on_path = {anchor}
-    pending = [iter(neighbors(anchor))]
+    pending = [iter(g.neighbors(anchor))]
     while pending:
         for w in pending[-1]:
             if w == anchor:
                 if len(path) >= 3 and len(path) % 2 == 1 and path[1] < path[-1]:
                     yield tuple(path)
-            elif w > anchor and w not in on_path:
+            elif live[w]:
                 path.append(w)
-                on_path.add(w)
-                pending.append(iter(neighbors(w)))
+                live[w] = False
+                pending.append(iter(g.neighbors(w)))
                 break
         else:
             pending.pop()
-            on_path.remove(path.pop())
+            live[path.pop()] = True
 
 
 def enumerate_odd_cycles(g: Graph) -> Iterator[OddCycle]:
     """Yield each simple odd cycle once, as a vertex tuple in cyclic order.
 
     A loop at v is the length-1 cycle ``(v,)``.  The stream is deterministic:
-    anchored at the smallest vertex, lexicographic extension.
+    anchored at the smallest vertex, lexicographic extension.  Longer cycles
+    are searched for among live vertices only.  A vertex dies once at most
+    one live neighbour besides itself is left, and an anchor once its search
+    ends, so the vertices below an anchor are dead before its search starts.
     """
-    core = _core_neighbors(g)
-    for anchor in range(g.order):
+    n = g.order
+    live = [True] * n
+    left = [len(g.neighbors(u)) - g.has_loop(u) for u in range(n)]
+
+    def kill(doomed: list[int]) -> None:
+        for u in doomed:
+            live[u] = False
+        while doomed:
+            for w in g.neighbors(doomed.pop()):
+                if live[w]:
+                    left[w] -= 1
+                    if left[w] <= 1:
+                        live[w] = False
+                        doomed.append(w)
+
+    kill([u for u in range(n) if left[u] <= 1])
+    for anchor in range(n):
         if g.has_loop(anchor):
             yield (anchor,)
-        if core(anchor):
-            yield from _simple_cycles_from(core, anchor)
+        if live[anchor]:
+            yield from _simple_cycles_from(g, live, anchor)
+            kill([anchor])
 
 
 def l_o_bound(

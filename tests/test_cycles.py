@@ -189,9 +189,47 @@ def test_bound_refuses_every_disconnected_graph(monkeypatch):
             _bound(g)
 
 
+def _dumbbell(k):
+    # A k-vertex path 0 .. k-1 with a triangle at each end: the first anchor
+    # lies inside the chain, which holds no cycle but is no dead end.
+    edges = [(v, v + 1) for v in range(k - 1)]
+    edges += [(k, k + 1), (k + 1, k + 2), (k, k + 2), (0, k)]
+    edges += [(k + 3, k + 4), (k + 4, k + 5), (k + 3, k + 5), (k - 1, k + 3)]
+    return Graph(k + 6, edges)
+
+
+class _CountingGraph(Graph):
+    """A graph that counts the neighbour rows read through ``neighbors``."""
+
+    __slots__ = ("reads",)
+
+    def neighbors(self, u):
+        self.reads += 1
+        return super().neighbors(u)
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (make_cycle(2001), [tuple(range(2001))]),
+        (_dumbbell(1001), [(1001, 1002, 1003), (1004, 1005, 1006)]),
+    ],
+    ids=["cycle2001", "dumbbell1001"],
+)
+def test_chains_are_not_walked_once_per_anchor(g, expected):
+    # Walking the chain from each of its anchors reads about n**2 / 2 rows;
+    # killing each anchor after its search, and the dead ends it leaves,
+    # keeps the reads within a small multiple of n + m.
+    counted = _CountingGraph(g.order, g.edges())
+    counted.reads = 0
+    assert list(enumerate_odd_cycles(counted)) == expected
+    assert counted.reads <= 4 * (g.order + g.edge_count)
+
+
 def _ensemble():
     # Every small connected graph, trees with a few chords and loops (long
-    # branches for the 2-core peel), and the named families.
+    # branches for the first peel), chains whose anchors die mid-chain, and
+    # the named families.
     small = [
         g
         for g in labeled_graphs()
@@ -205,8 +243,20 @@ def _ensemble():
         edges.update(tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3)))
         edges.update((v, v) for v in range(n) if rng.random() < 0.1)
         sparse.append(Graph(n, edges))
+    chains = [
+        _dumbbell(8),
+        # a theta: paths of 2, 3 and 4 edges between 1 and 5, with the least
+        # label inside the longest path
+        Graph(
+            8, [(1, 2), (2, 5), (1, 3), (3, 4), (4, 5), (1, 6), (6, 0), (0, 7), (7, 5)]
+        ),
+        # a 5-cycle and a triangle sharing the vertex 2
+        Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6), (6, 2)]),
+        make_cycle(31),
+        make_f_family(40, 9),
+    ]
     named = [make_f_family(30, 5), make_h_family(20, 4), make_path(12), make_cycle(11)]
-    return small + sparse + named
+    return small + sparse + chains + named
 
 
 def _assert_bound_is_brute_force(g):
@@ -243,7 +293,7 @@ def test_bound_is_infinite_exactly_without_an_odd_cycle():
 def test_bound_searches_no_cycle_on_a_bipartite_graph(monkeypatch):
     import kronwalk.cycles as cycles
 
-    def no_search(neighbors, anchor):
+    def no_search(g, live, anchor):
         raise AssertionError("cycle search on a bipartite graph")
 
     monkeypatch.setattr(cycles, "_simple_cycles_from", no_search)
