@@ -8,7 +8,6 @@ form against brute force on small graphs.
 """
 
 from .boolmat import (
-    BoolMatrix,
     adjacency,
     bool_mul,
     kron_matrix,
@@ -64,7 +63,6 @@ from .walks import (
 )
 
 __all__ = [
-    "BoolMatrix",
     "Bounds",
     "CycleBoundReport",
     "DEFAULT_CYCLE_CAP",

@@ -2,57 +2,44 @@
 
 This is the independent verification channel for exponents: the exponent of
 a graph is the first power of its adjacency matrix with every entry set,
-and that computation shares no code with the walk-based one.  Rows are
-arbitrary-precision integer bitsets, so a boolean product is just an OR of
-selected rows.  The one power loop is :func:`bool_powers`, and the one
-Kronecker bit layout is :func:`kron_lift`.
+and that computation shares no code with the walk-based one.  A square 0/1
+matrix is a tuple of rows, row ``i`` an arbitrary-precision integer bitset
+holding bit ``j`` for entry ``(i, j)``, the layout of a walk-scan level; so
+a boolean product is just an OR of selected rows.  The one power loop is
+:func:`bool_powers`, and the one Kronecker bit layout is :func:`kron_lift`.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .extlen import INF, ExtLen
 from .graphs import Graph
 
 
-class BoolMatrix(NamedTuple):
-    """Square 0/1 matrix; row ``i`` holds bit ``j`` for entry ``(i, j)``."""
-
-    dim: int
-    rows: tuple[int, ...]
-
-    def is_all_ones(self) -> bool:
-        full = (1 << self.dim) - 1
-        return all(row == full for row in self.rows)
-
-
-def adjacency(g: Graph) -> BoolMatrix:
+def adjacency(g: Graph) -> tuple[int, ...]:
     """Adjacency matrix; the diagonal bit is set exactly for loops."""
-    rows = tuple(
-        sum(1 << w for w in g.neighbors(u)) for u in range(g.order)
-    )
-    return BoolMatrix(g.order, rows)
+    return tuple(sum(1 << w for w in g.neighbors(u)) for u in range(g.order))
 
 
-def bool_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
+def bool_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """AND/OR product: entry (i, j) set iff some t links i to t and t to j."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     out = []
-    for row in a.rows:
+    for row in a:
         acc = 0
         remaining = row
         while remaining:
             low = remaining & -remaining
-            acc |= b.rows[low.bit_length() - 1]
+            acc |= b[low.bit_length() - 1]
             remaining ^= low
         out.append(acc)
-    return BoolMatrix(a.dim, tuple(out))
+    return tuple(out)
 
 
-def bool_powers(a: BoolMatrix) -> Iterator[BoolMatrix]:
+def bool_powers(a: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The powers ``A, A^2, A^3, ...`` of ``a``, each computed when asked for."""
     power = a
     while True:
@@ -60,29 +47,32 @@ def bool_powers(a: BoolMatrix) -> Iterator[BoolMatrix]:
         power = bool_mul(power, a)
 
 
-def kron_lift(a: BoolMatrix, b: BoolMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def kron_lift(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Rows of ``A x J`` and of ``J x B``, ``J`` all ones, in the row-major layout.
 
-    Row ``i1 * b.dim + i2`` of the first has bit ``j1 * b.dim + j2`` iff ``a``
-    has ``(i1, j1)``: a row of ``a`` spread over blocks of ``b.dim`` bits.  Of
-    the second, iff ``b`` has ``(i2, j2)``: a row of ``b`` tiled ``a.dim`` times.
+    Row ``i1 * len(b) + i2`` of the first has bit ``j1 * len(b) + j2`` iff
+    ``a`` has ``(i1, j1)``: a row of ``a`` spread over blocks of ``len(b)``
+    bits.  Of the second, iff ``b`` has ``(i2, j2)``: a row of ``b`` tiled
+    ``len(a)`` times.
     """
-    n1, n2 = a.dim, b.dim
+    n1, n2 = len(a), len(b)
     block, tile = (1 << n2) - 1, sum(1 << j * n2 for j in range(n1))
-    spread = [sum(block << j * n2 for j in range(n1) if row >> j & 1) for row in a.rows]
-    tiled = [row * tile for row in b.rows]
+    spread = [sum(block << j * n2 for j in range(n1) if row >> j & 1) for row in a]
+    tiled = [row * tile for row in b]
     return tuple(r for r in spread for _ in range(n2)), tuple(tiled * n1)
 
 
-def kron_matrix(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
+def kron_matrix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Kronecker product in the row-major block layout.
 
-    Row ``i1 * b.dim + i2`` has bit ``j1 * b.dim + j2`` set iff ``a`` has
+    Row ``i1 * len(b) + i2`` has bit ``j1 * len(b) + j2`` set iff ``a`` has
     ``(i1, j1)`` and ``b`` has ``(i2, j2)``, matching the product-graph
     vertex encoding bit for bit: the row-by-row AND of the two lifts.
     """
     left, right = kron_lift(a, b)
-    return BoolMatrix(a.dim * b.dim, tuple(x & y for x, y in zip(left, right)))
+    return tuple(x & y for x, y in zip(left, right))
 
 
 def oracle_exponent(g: Graph) -> ExtLen:
@@ -92,5 +82,6 @@ def oracle_exponent(g: Graph) -> ExtLen:
     twice its diameter, which is below ``2 * order``, so no positive power
     up to it is a non-primitivity verdict.
     """
+    full = (1 << g.order) - 1
     powers = islice(bool_powers(adjacency(g)), 2 * g.order)
-    return next((k for k, p in enumerate(powers, 1) if p.is_all_ones()), INF)
+    return next((k for k, p in enumerate(powers, 1) if p.count(full) == g.order), INF)

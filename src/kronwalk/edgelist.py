@@ -63,7 +63,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def read_graph(path: str | os.PathLike[str]) -> Graph:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig skips a leading byte-order mark, as some editors write one.
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_edge_list(handle.read())
 
 

@@ -41,8 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from ..boolmat import BoolMatrix, adjacency, bool_powers, kron_lift, kron_matrix
-from ..boolmat import oracle_exponent
+from ..boolmat import adjacency, bool_powers, kron_lift, kron_matrix, oracle_exponent
 from ..extlen import ExtLen, is_finite
 from ..graphs import (
     Graph,
@@ -333,10 +332,10 @@ def _check_local_exponent_onset(instance: Instance) -> Failure | None:
     levels = walk_levels(g)
     powers = list(itertools.islice(bool_powers(adjacency(g)), 2 * g.order + 2))
     for k, power in enumerate(powers, 1):
-        if _level(levels, k) != power.rows:
+        if _level(levels, k) != power:
             return Failure(f"A^{k}", f"level {k}", "walk level differs from the power")
     for k, (power, later) in enumerate(zip(powers, powers[2:]), 1):
-        if any(row & ~above for row, above in zip(power.rows, later.rows)):
+        if any(row & ~above for row, above in zip(power, later)):
             return Failure(True, False, f"a walk of length {k} has no extension by two")
     return None
 
@@ -361,11 +360,10 @@ def _check_walk_combination(instance: Instance) -> Failure | None:
     # of the factor levels lies within the product's level.
     g1, g2 = instance
     scans = (_walk_levels(g1), _walk_levels(g2), walk_levels(kronecker_product(g1, g2)))
-    n1, n2 = g1.order, g2.order
+    n2 = g2.order
     for k in range(1, max(map(len, scans))):
         w1, w2, product = (_level(scan, k) for scan in scans)
-        combined = kron_matrix(BoolMatrix(n1, w1), BoolMatrix(n2, w2)).rows
-        for x, (want, have) in enumerate(zip(combined, product)):
+        for x, (want, have) in enumerate(zip(kron_matrix(w1, w2), product)):
             if want & ~have:
                 y = (want & ~have).bit_length() - 1
                 pair = f"{divmod(x, n2)} -> {divmod(y, n2)}"
@@ -416,8 +414,7 @@ def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
     latest = [((0,) * (n1 * n2),) * 2] * 2  # even, odd; step k renews k's parity
     for k, reached in enumerate(_reach(kronecker_product(g1, g2))):
         if k:
-            w1, w2 = _level(levels1, k), _level(levels2, k)
-            latest[k % 2] = kron_lift(BoolMatrix(n1, w1), BoolMatrix(n2, w2))
+            latest[k % 2] = kron_lift(_level(levels1, k), _level(levels2, k))
         (e1, e2), (o1, o2) = latest
         allowed = [(o | f) & (e | p) for o, e, p, f in zip(o1, e1, o2, e2)]
         for x, (row, ok) in enumerate(zip(reached, allowed)):

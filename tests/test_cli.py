@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -12,13 +13,23 @@ from pathlib import Path
 import pytest
 
 from kronwalk import Graph, make_cycle, read_graph, write_graph
-from kronwalk.cli import main, parse_graph_spec
+from kronwalk.cli import _build_parser, main, parse_graph_spec
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_cli_lines_parse():
+    # Every command line the README shows names a real command and flags.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("## CLI", 1)[1].split("```")[1].strip().splitlines()
+    assert lines and all(line.startswith("kronwalk ") for line in lines)
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_parse_graph_spec_families():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -67,3 +69,15 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "g.edges"
     write_graph(path, make_cycle(5))
     assert read_graph(path) == make_cycle(5)
+
+
+def test_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"\xef\xbb\xbfn 3\n0 1\n2 2\n")
+    assert read_graph(path) == Graph(3, [(0, 1), (2, 2)])
+
+
+def test_readme_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Edge-list format", 1)[1].split("```")[1]
+    assert parse_edge_list(block) == Graph(5, [(0, 1), (1, 2), (2, 2)])

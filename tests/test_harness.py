@@ -236,7 +236,7 @@ def _lift_missing_a_tile(monkeypatch):
 
     def lift(a, b):
         left, right = real(a, b)
-        return left, tuple(row & ~((1 << b.dim) - 1) for row in right)
+        return left, tuple(row & ~((1 << len(b)) - 1) for row in right)
 
     monkeypatch.setattr(claims, "kron_lift", lift)
 

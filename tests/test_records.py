@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from kronwalk import (
-    adjacency,
     diameter_bounds,
     exponent,
     l_o_bound,
@@ -44,7 +43,6 @@ def test_importing_the_package_loads_no_dataclasses():
 def _records():
     c5 = summarize(make_cycle(5))
     return [
-        adjacency(make_cycle(3)),
         c5,
         exponent(make_cycle(5)),
         l_o_bound(make_cycle(5), c5),
