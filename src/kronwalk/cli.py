@@ -236,6 +236,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    # Only random:n reads the probabilities, but every spec refuses a bad one.
+    probs = {"--edge-prob": args.edge_prob, "--loop-prob": args.loop_prob}
+    for flag, prob in probs.items():
+        if not 0 <= prob <= 1:
+            raise ValueError(f"{flag} must lie in [0, 1], got {prob}")
     if args.spec.startswith("random:"):
         params = _int_args(args.spec, args.spec.partition(":")[2], 1)
         try:

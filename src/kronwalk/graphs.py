@@ -41,11 +41,17 @@ MAX_TABLE_ORDER = 3_000
 
 
 class OutsideHypotheses(ValueError):
-    """A closed form's refusal: its inputs lie outside the theorem it states.
+    """A refusal: the inputs lie outside the theorem a closed form or check states.
 
     The verify harness reads this refusal, and only this one, as an instance
     outside a claim; any other error, a size guard's included, stays an error.
     """
+
+
+def _require(condition: bool, message: str) -> None:
+    """Refuse inputs outside a theorem's hypotheses unless ``condition`` holds."""
+    if not condition:
+        raise OutsideHypotheses(message)
 
 
 def check_order(order: int) -> None:

@@ -2,10 +2,14 @@
 
 Each claim pairs a deterministic instance stream with a self-contained
 check.  A check derives every hypothesis from the instance graphs
-themselves (connectivity, primitivity, family shape, ...) and returns
-``None`` both when the instance passes and when it falls outside the
-claim's hypotheses; that makes counterexample minimization safe, because a
-mutation that breaks a hypothesis simply stops failing.
+themselves (connectivity, primitivity, family shape, ...).  It returns None
+only when the instance passes, and refuses an instance outside the claim's
+hypotheses by raising :class:`~kronwalk.graphs.OutsideHypotheses`, as the
+predictors do.  The registry holds each check wrapped so that this refusal,
+and only this one, reads as None; that makes counterexample minimization
+safe, because a mutation that breaks a hypothesis simply stops failing.  Any
+other error, a plain ``ValueError`` included, propagates, so a broken route
+cannot pass as an instance outside the hypotheses.
 
 An equality claim is a closed form plus a named brute force: it registers
 through :func:`_closed_form_claim`, which compares the two and builds the
@@ -13,18 +17,15 @@ failure.  Ground truth for product claims is always BFS or boolean powers on
 the explicitly constructed product (:func:`_product_diameter`,
 :func:`_product_connected`, :func:`_product_exponent`), never the formula
 under test or the parity scan behind the factor profiles.  A closed form's
-hypotheses are its predictor's refusals: the harness does not check them
-again, and an :class:`~kronwalk.graphs.OutsideHypotheses` from the predictor
-puts the instance outside the claim.  Any other error, a plain
-``ValueError`` included, propagates, so a broken route cannot pass as an
-instance outside the hypotheses.  The one hypothesis a profile cannot show,
-a loop on every vertex of a ``CorLoops`` factor, is the closed form's own
-refusal.
+hypotheses are its predictor's refusals, which the harness does not check
+again; the one hypothesis a profile cannot show, a loop on every vertex of a
+``CorLoops`` factor, is the closed form's own refusal.
 
-The pair checkers read the profile and the walk levels of each factor
+Every check reads the profile and the walk levels of an instance graph
 through a memo that :func:`run_campaign` opens for each claim
-(:func:`memo_profiles`), so a pair pool scans each of its graphs once; a
-check called on its own computes afresh.
+(:func:`memo_profiles`), so a pair pool scans each of its graphs once; only
+a built product is scanned directly, and a check called on its own computes
+afresh.
 
 The walk lemmas are checked on those levels, as bitset rows: a product walk
 is a pair of factor walks of the same length, so level ``k`` of a product's
@@ -46,6 +47,7 @@ from ..extlen import ExtLen, is_finite
 from ..graphs import (
     Graph,
     OutsideHypotheses,
+    _require,
     make_complete,
     make_complete_multipartite,
     make_cycle,
@@ -104,8 +106,16 @@ REGISTRY: dict[str, Claim] = {}
 
 
 def _claim(claim_id: str, description: str, instances) -> Callable:
+    """Register a check; this is the one place a refusal is read, as None."""
+
     def register(check: Callable[[Instance], Failure | None]) -> Callable:
-        REGISTRY[claim_id] = Claim(claim_id, description, instances, check)
+        def checked(instance: Instance) -> Failure | None:
+            try:
+                return check(instance)
+            except OutsideHypotheses:
+                return None
+
+        REGISTRY[claim_id] = Claim(claim_id, description, instances, checked)
         return check
 
     return register
@@ -115,20 +125,12 @@ def _closed_form_claim(claim_id: str, description: str, instances, truth) -> Cal
     """Register an equality claim: a closed form checked against a brute force.
 
     The check compares the closed form's value with ``truth`` on the same
-    instance.  None or an ``OutsideHypotheses`` from the closed form (how a
-    predictor refuses an instance) puts the instance outside the hypotheses;
-    any other error propagates, and ``truth``, whose size guards raise a
-    plain ``ValueError``, runs outside the ``try``.
+    instance; the closed form refuses an instance as every check does.
     """
 
     def register(closed_form: Callable[..., object]) -> Callable:
         def check(instance: Instance) -> Failure | None:
-            try:
-                expected = closed_form(*instance)
-            except OutsideHypotheses:
-                return None
-            if expected is None:
-                return None
+            expected = closed_form(*instance)
             actual = truth(*instance)
             if actual != expected:
                 return Failure(expected, actual, "closed form differs from brute force")
@@ -165,10 +167,8 @@ def _recall(route: Callable, g: Graph):
     return _memo[key]
 
 
-# The factors of a pair instance recur across a pool's pairs, so the pair
-# checkers read them through the memo; a single-graph checker reads its graph
-# once and calls the route directly.  Each reads the name this module binds at
-# call time, so a route swapped in for a mutant check is the one that runs.
+# Each reads the name this module binds at call time, so a route swapped in
+# for a mutant check is the one that runs.
 def _summarize(g: Graph) -> ParityProfile:
     return _recall(summarize, g)
 
@@ -314,9 +314,10 @@ def _bipartite_pool() -> list[Graph]:
     _pair_instances,
     _product_exponent,
 )
-def _larger_exponent(g1: Graph, g2: Graph) -> ExtLen | None:
+def _larger_exponent(g1: Graph, g2: Graph) -> ExtLen:
     gamma = max(_summarize(g1).exponent, _summarize(g2).exponent)
-    return gamma if is_finite(gamma) else None  # None: a factor is not primitive
+    _require(is_finite(gamma), "a factor is not primitive")
+    return gamma
 
 
 @_claim(
@@ -329,7 +330,7 @@ def _check_local_exponent_onset(instance: Instance) -> Failure | None:
     # them its local exponent, are those of the powers; A^k within A^(k+2)
     # makes every length from the local exponent on a walk length.
     (g,) = instance
-    levels = walk_levels(g)
+    levels = _walk_levels(g)
     powers = list(itertools.islice(bool_powers(adjacency(g)), 2 * g.order + 2))
     for k, power in enumerate(powers, 1):
         if _level(levels, k) != power:
@@ -379,12 +380,9 @@ def _check_walk_combination(instance: Instance) -> Failure | None:
 )
 def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
     (g,) = instance
-    if g.order < 2:
-        return None  # trivial
-    s = summarize(g)
+    s = _summarize(g)
     gamma = s.exponent
-    if not is_finite(gamma):
-        return None  # not primitive
+    _require(g.order >= 2 and is_finite(gamma), "trivial or not primitive")
     # The larger span is gamma + 1, so the other parity reaches it; a pair's
     # shortest walk of gamma's parity has length gamma iff that span is gamma.
     if min(s.odd_diameter, s.even_diameter) != gamma:
@@ -409,8 +407,8 @@ def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
     # A scan ends on the two levels that repeat from there on, so a factor is
     # primitive iff every row of its last two levels is full.
     for n, levels in ((n1, levels1), (n2, levels2)):
-        if any(row != (1 << n) - 1 for row in levels[-2] + levels[-1]):
-            return None  # a factor is not primitive
+        full = all(row == (1 << n) - 1 for row in levels[-2] + levels[-1])
+        _require(full, "a factor is not primitive")
     latest = [((0,) * (n1 * n2),) * 2] * 2  # even, odd; step k renews k's parity
     for k, reached in enumerate(_reach(kronecker_product(g1, g2))):
         if k:
@@ -436,9 +434,8 @@ def _check_l_o_bound(instance: Instance) -> Failure | None:
     (g,) = instance
     # A lone looped vertex has exponent 1 but cycle bound 0; the claim is
     # about nontrivial graphs.
-    s = summarize(g)
-    if g.order < 2 or not s.connected:
-        return None
+    s = _summarize(g)
+    _require(g.order >= 2 and s.connected, "trivial or not connected")
     gamma = s.exponent
     report = l_o_bound(g, s)
     # Truncated enumeration still yields a valid upper bound.
@@ -454,11 +451,10 @@ def _check_l_o_bound(instance: Instance) -> Failure | None:
 )
 def _check_loop_diameter_bound(instance: Instance) -> Failure | None:
     (g,) = instance
-    if g.order < 2:
-        return None  # the lone looped vertex has exponent 1 and diameter 0
-    s = summarize(g)
-    if not s.connected or not any(g.has_loop(v) for v in range(g.order)):
-        return None
+    s = _summarize(g)
+    # The lone looped vertex has exponent 1 and diameter 0.
+    _require(g.order >= 2 and s.connected, "trivial or not connected")
+    _require(any(g.loop_flags), "no loop")
     gamma = s.exponent
     bound = 2 * s.diameter
     if gamma > bound:
@@ -476,9 +472,9 @@ def _check_loop_diameter_bound(instance: Instance) -> Failure | None:
 )
 def _check_odd_girth_bound(instance: Instance) -> Failure | None:
     (g,) = instance
-    s = summarize(g)
-    if not is_finite(s.exponent) or s.odd_girth < 3:
-        return None  # not primitive, or a loop gives odd girth 1
+    s = _summarize(g)
+    # A loop gives odd girth 1.
+    _require(is_finite(s.exponent) and s.odd_girth >= 3, "not primitive, or a loop")
     p = int(s.odd_girth)
     n = g.order
     gamma = s.exponent
@@ -505,12 +501,13 @@ def _check_odd_girth_bound(instance: Instance) -> Failure | None:
             connected_graphs(spec.exhaustive_loopless_order, allow_loops=False),
         )
     ),
-    lambda g: summarize(g).exponent,
+    lambda g: _summarize(g).exponent,
 )
-def _clique_family_exponent(g: Graph) -> int | None:
+def _clique_family_exponent(g: Graph) -> int:
     n = g.order
     p = next((q for q in range(3, n) if are_isomorphic(g, make_h_family(n, q))), None)
-    return None if p is None else 2 * n - 2 * p + 2
+    _require(p is not None, "not a path-plus-clique graph")
+    return 2 * n - 2 * p + 2
 
 
 @_claim(
@@ -520,8 +517,7 @@ def _clique_family_exponent(g: Graph) -> int | None:
 )
 def _check_sandwich_bounds(instance: Instance) -> Failure | None:
     g1, g2 = instance
-    if g1.order < 2 or g2.order < 2:
-        return None  # predict prints no bounds
+    _require(g1.order >= 2 and g2.order >= 2, "predict prints no bounds")
     s1, s2 = _summarize(g1), _summarize(g2)
     d = _product_diameter(g1, g2)
     b = diameter_bounds(s1, s2)
@@ -556,9 +552,8 @@ def _main_formula(g1: Graph, g2: Graph) -> ExtLen:
     lambda spec, rng: _square(_pair_pool(spec)),
     lambda g1, g2: _product_diameter(g1, g2) == 1,
 )
-def _both_k_plus(g1: Graph, g2: Graph) -> bool | None:
-    if g1.order < 2 or g2.order < 2:
-        return None
+def _both_k_plus(g1: Graph, g2: Graph) -> bool:
+    _require(g1.order >= 2 and g2.order >= 2, "a factor of order one")
     return _summarize(g1).is_k_plus and _summarize(g2).is_k_plus
 
 
@@ -596,27 +591,21 @@ _PART_LISTS = (
     "ThmMultipartite",
     "a complete multipartite factor on three or more parts follows the "
     "small-diameter closed form",
-    # A random draw picks the parts before the other factor, so pairs are
-    # built multipartite factor first and then flipped.
-    lambda spec, rng: (
-        (g, h)
-        for h, g in _stream(
-            itertools.product(
-                map(make_complete_multipartite, _PART_LISTS), _pair_pool(spec)
-            ),
-            spec,
-            lambda: (
-                make_complete_multipartite(rng.choice(_PART_LISTS)),
-                random_connected(rng, RANDOM_ORDER),
-            ),
-        )
+    lambda spec, rng: _stream(
+        itertools.product(
+            map(make_complete_multipartite, _PART_LISTS), _pair_pool(spec)
+        ),
+        spec,
+        lambda: (
+            make_complete_multipartite(rng.choice(_PART_LISTS)),
+            random_connected(rng, RANDOM_ORDER),
+        ),
     ),
     _product_diameter,
 )
-def _multipartite_factor(g: Graph, h: Graph) -> ExtLen | None:
+def _multipartite_factor(h: Graph, g: Graph) -> ExtLen:
     parts = complete_multipartite_parts(h)
-    if parts is None:
-        return None
+    _require(parts is not None, "first factor: not complete multipartite")
     return predict_multipartite_factor(_summarize(g), parts)
 
 
@@ -652,8 +641,7 @@ def _family_products(g: Graph, h: Graph) -> ExtLen:
 )
 def _all_loops(g1: Graph, g2: Graph) -> ExtLen:
     for label, g in (("first", g1), ("second", g2)):
-        if not all(g.loop_flags):
-            raise OutsideHypotheses(f"{label} factor: every vertex must have a loop")
+        _require(all(g.loop_flags), f"{label} factor: every vertex must have a loop")
     return predict_all_loops(_summarize(g1), _summarize(g2))
 
 
@@ -663,11 +651,10 @@ def _all_loops(g1: Graph, g2: Graph) -> ExtLen:
     _single_instances,
     lambda g: _product_diameter(g, make_complete(2)) - 1,
 )
-def _double_cover_exponent(g: Graph) -> ExtLen | None:
-    if g.order < 2:
-        return None  # trivial
-    gamma = summarize(g).exponent
-    return gamma if is_finite(gamma) else None  # None: not primitive
+def _double_cover_exponent(g: Graph) -> ExtLen:
+    gamma = _summarize(g).exponent
+    _require(g.order >= 2 and is_finite(gamma), "trivial or not primitive")
+    return gamma
 
 
 @_closed_form_claim(
@@ -680,10 +667,10 @@ def _double_cover_exponent(g: Graph) -> ExtLen | None:
     ),
     _product_diameter,
 )
-def _cycle_products(g1: Graph, g2: Graph) -> ExtLen | None:
+def _cycle_products(g1: Graph, g2: Graph) -> ExtLen:
     m, n = g1.order, g2.order
-    if m < 3 or m % 2 == 0 or not are_isomorphic(g1, make_cycle(m)):
-        return None
+    odd_cycle = m >= 3 and m % 2 == 1 and are_isomorphic(g1, make_cycle(m))
+    _require(odd_cycle, "first factor: not an odd cycle")
     if n >= 3 and are_isomorphic(g2, make_cycle(n)):
         if n % 2 == 0:
             return max(m, n // 2)
@@ -692,9 +679,9 @@ def _cycle_products(g1: Graph, g2: Graph) -> ExtLen | None:
         if m > n:
             return max(n, (m - 1) // 2)
         return max(m, (n - 1) // 2)
-    if n >= 2 and are_isomorphic(g2, make_path(n)):
-        return max(m, n - 1)
-    return None
+    path = n >= 2 and are_isomorphic(g2, make_path(n))
+    _require(path, "second factor: not a cycle or a path")
+    return max(m, n - 1)
 
 
 @_closed_form_claim(

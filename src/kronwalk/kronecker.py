@@ -19,7 +19,7 @@ product or any table.
 from __future__ import annotations
 
 from .extlen import INF, ExtLen
-from .graphs import Graph, OutsideHypotheses, check_edges, check_order
+from .graphs import Graph, _require, check_edges, check_order
 from .walks import ParityProfile
 
 
@@ -82,8 +82,7 @@ def product_is_connected(s1: ParityProfile, s2: ParityProfile) -> bool:
     product vertex isolated: that product is connected only when it is a
     single vertex.
     """
-    if not s1.connected or not s2.connected:
-        raise OutsideHypotheses("both factors must be connected")
+    _require(s1.connected and s2.connected, "both factors must be connected")
     if s1.order * s2.order == 1:
         return True
     if any(s.order == 1 and s.bipartite for s in (s1, s2)):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .extlen import INF, ExtLen, is_finite
-from .graphs import OutsideHypotheses
+from .graphs import _require
 from .kronecker import product_is_connected
 from .walks import ParityProfile
 
@@ -94,11 +94,6 @@ def predict_diameter(s1: ParityProfile, s2: ParityProfile) -> DiameterPrediction
         value, case = max(g1 + 1, s2.diameter), CASE_GAMMA2_GREATER
     bounds = diameter_bounds(s1, s2) if min(s1.order, s2.order) >= 2 else None
     return DiameterPrediction(value=value, case=case, bounds=bounds)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise OutsideHypotheses(message)
 
 
 def predict_k_plus_factor(s_kp: ParityProfile, s_other: ParityProfile) -> ExtLen:

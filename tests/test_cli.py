@@ -1,5 +1,7 @@
 import ast
 import gc
+import importlib
+import inspect
 import json
 import os
 import resource
@@ -277,7 +279,7 @@ def test_verify_passes_a_claim_with_fixed_instances_at_the_smallest_ensemble(cap
 
 
 def test_verify_fails_a_route_that_raises_a_plain_value_error(monkeypatch, capsys):
-    # Only a predictor's OutsideHypotheses puts an instance outside a claim;
+    # Only an OutsideHypotheses puts an instance outside a claim;
     # a route that breaks with any other ValueError must not pass unchecked.
     from kronwalk.harness import claims
 
@@ -377,6 +379,18 @@ def test_generate_refuses_a_random_graph_above_the_edge_limit(monkeypatch, capsy
     code, out, err = run_cli(capsys, "generate", "random:9", "--edge-prob", "1")
     assert code == 1 and out == ""
     assert err == "error: random:9: edge count 15 exceeds the limit of 10\n"
+
+
+@pytest.mark.parametrize("spec", ["cycle:5", "random:6"])
+@pytest.mark.parametrize(
+    "flag, value", [("--edge-prob", "2"), ("--loop-prob", "-0.5"), ("--edge-prob", "nan")]
+)
+def test_generate_refuses_a_probability_outside_the_unit_interval(
+    capsys, spec, flag, value
+):
+    code, out, err = run_cli(capsys, "generate", spec, flag, value)
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must lie in [0, 1], got {float(value)}\n"
 
 
 def test_generate_json_format(tmp_path, capsys):
@@ -533,6 +547,70 @@ def test_benchmark_tracer_runs_the_cli(tmp_path, argv):
     assert result.returncode == 0, result.stderr
     json.loads(result.stdout)
     assert trace.stat().st_size > 0
+
+
+# Span names that the benchmark's tracer hooks or its layer report reads but
+# that name no function the tracer wraps, so their metrics read 0 until the
+# benchmark points them at live functions.
+STALE_TRACED_NAMES = {"walks.parity_distances", "walks.distance_matrix", "predict.summarize"}
+
+
+def _literal(tree: ast.Module, name: str):
+    (value,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name
+    ]
+    return ast.literal_eval(value)
+
+
+def _traced_span_names(bench: Path) -> tuple[set[str], tuple[str, ...]]:
+    """The span names that tracechild.py hooks and layers.py reads, and the
+    modules that the tracer wraps."""
+    child, layers = (
+        ast.parse((bench / f"{name}.py").read_text(encoding="utf-8"))
+        for name in ("tracechild", "layers")
+    )
+    (hooks,) = [n for n in ast.walk(child) if isinstance(n, ast.FunctionDef)
+                and n.name == "hooks"]
+    names = {*_literal(child, "TRAVERSALS"), *_literal(layers, "TRAVERSALS")}
+    names.update(key.value for key in hooks.body[-1].value.keys
+                 if isinstance(key, ast.Constant))
+    names.update(
+        node.args[0].value for node in ast.walk(child)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_id" and isinstance(node.args[0], ast.Constant)
+    )
+    names.update(
+        node.slice.value for node in ast.walk(layers)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+        and node.value.id in ("incl", "calls") and isinstance(node.slice, ast.Constant)
+    )
+    return names, _literal(child, "MODULES")
+
+
+def _traced_by(name: str, modules: tuple[str, ...]) -> bool:
+    """Whether the tracer wraps a function under ``name``: a public function
+    defined in a module of the name's layer, or ``graphs.Graph``."""
+    if name == "graphs.Graph":
+        return True
+    layer, _, function = name.partition(".")
+    for short in modules:
+        if short.split(".")[0] != layer or function.startswith("_"):
+            continue
+        module = importlib.import_module(f"kronwalk.{short}")
+        obj = vars(module).get(function)
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+            return True
+    return False
+
+
+def test_benchmark_tracer_names_resolve():
+    # A rename in the package must fail here at once, rather than silently
+    # zero the benchmark metric that reads the old name.
+    names, modules = _traced_span_names(Path(__file__).parents[1] / "perfbench")
+    assert {"graphs.Graph", "harness.run_campaign", "harness.random_connected",
+            "boolmat.bool_mul", "walks.is_bipartite"} <= names
+    assert {name for name in names if not _traced_by(name, modules)} == STALE_TRACED_NAMES
 
 
 # Runs kronwalk.cli as __main__, as `python -m kronwalk.cli` does, and prints

@@ -306,9 +306,12 @@ def test_parity_extremal_claim_reads_the_spans(monkeypatch):
 
 
 def test_diameter_claim_compares_the_closed_form_with_bfs():
-    claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(
-        lambda g1, g2: 4 if g1.order == g2.order else None
-    )
+    def probe(g1, g2):
+        if g1.order != g2.order:
+            raise OutsideHypotheses("factors of different orders")
+        return 4
+
+    claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(probe)
     check = REGISTRY.pop("Probe").check
     assert check((make_cycle(5), make_cycle(5))) is None  # d(C5 x C5) = 4
     failure = check((make_cycle(3), make_cycle(3)))
@@ -489,8 +492,8 @@ def test_diameter_claim_reads_a_refusal_as_outside_the_hypotheses(monkeypatch):
     check = REGISTRY.pop("Probe").check
     with pytest.raises(ValueError, match="broken route"):
         check((make_cycle(5), make_cycle(3)))
-    # Only the closed form is guarded: a size guard of the product still
-    # raises.
+    # A size guard of the product raises a plain ValueError, which is not a
+    # refusal either.
     claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(lambda g1, g2: 3)
     check = REGISTRY.pop("Probe").check
 
@@ -514,12 +517,26 @@ def test_diameter_claim_reads_a_refusal_as_outside_the_hypotheses(monkeypatch):
         (
             "ThmMultipartite",
             "_multipartite_factor",
-            (make_cycle(5), make_complete_multipartite([2, 3])),
+            (make_complete_multipartite([2, 3]), make_cycle(5)),
         ),
         # a factor lacks a loop; max(d1, d2) would read 2 for a product of
         # diameter 3
         ("CorLoops", "_all_loops", (with_all_loops(make_path(3)), make_complete(2))),
         ("CorLoops", "_all_loops", (make_path(3), with_all_loops(make_path(3)))),
+        # The harness's own closed forms; a single-graph claim's instance
+        # holds one graph.
+        # a bipartite factor is not primitive
+        ("Prop1.1", "_larger_exponent", (make_cycle(5), make_path(3))),
+        # not a path-plus-clique graph
+        ("Cor3.2", "_clique_family_exponent", (make_f_family(7, 5),)),
+        # a factor of order one
+        ("Thm3.4", "_both_k_plus", (Graph(1, [(0, 0)]), make_complete(2, with_loops=True))),
+        # C5 is not complete multipartite
+        ("ThmMultipartite", "_multipartite_factor", (make_cycle(5), make_complete(3))),
+        # C4 is not primitive
+        ("CorK2", "_double_cover_exponent", (make_cycle(4),)),
+        # the first factor is an even cycle
+        ("CorCycles", "_cycle_products", (make_cycle(4), make_path(3))),
     ],
 )
 def test_closed_forms_refuse_pairs_outside_their_hypotheses(claim_id, closed_form, pair):

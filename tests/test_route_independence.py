@@ -16,6 +16,9 @@ harness's walk-lemma checkers take that truth from the built product, and
 never from the parity scan that gives its closed form the factor exponents.
 The power loop lives in ``boolmat`` alone, so the harness never multiplies
 matrices itself.
+
+The harness reads a check's refusal in one place, and every check reads an
+instance graph's scans through the one claim memo.
 """
 
 import ast
@@ -142,3 +145,51 @@ def test_the_predictor_reads_weichsels_rule_from_kronecker():
 def test_the_reader_sees_each_scan_where_it_runs():
     assert "_reach" in _names_in_function("walks", "diameter")
     assert "_levels" in _names_in_function("walks", "summarize")
+
+
+def _claims_functions() -> dict[str, list[ast.AST]]:
+    """The nodes of ``harness/claims.py`` by the top-level function whose body
+    holds them; decorators and module-level code fall under ``<module>``."""
+    tree = ast.parse((PACKAGE / "harness/claims.py").read_text(encoding="utf-8"))
+    owners: dict[str, list[ast.AST]] = {"<module>": []}
+    for statement in tree.body:
+        parts = [statement]
+        if isinstance(statement, ast.FunctionDef):
+            owners[statement.name] = [n for part in statement.body for n in ast.walk(part)]
+            parts = statement.decorator_list
+        owners["<module>"] += [n for part in parts for n in ast.walk(part)]
+    return owners
+
+
+def test_the_harness_reads_a_refusal_in_one_place():
+    # Every check refuses through OutsideHypotheses, and only _claim's
+    # wrapper reads it; a second handler, or one for ValueError or any
+    # exception, would read a refusal elsewhere.
+    handlers = [
+        (owner, node)
+        for owner, nodes in _claims_functions().items()
+        for node in nodes
+        if isinstance(node, ast.ExceptHandler)
+    ]
+    assert [(owner, _names(node.type)) for owner, node in handlers] == [
+        ("_claim", {"OutsideHypotheses"})
+    ]
+
+
+def test_checks_scan_instance_graphs_through_the_memo():
+    # Only the memo's readers call the scans, apart from Lem2.5, which
+    # scans the built product.
+    owners = {
+        name: {owner for owner, nodes in _claims_functions().items()
+               if any(isinstance(n, ast.Name) and n.id == name for n in nodes)}
+        for name in ("summarize", "walk_levels")
+    }
+    assert owners == {
+        "summarize": {"_summarize"},
+        "walk_levels": {"_walk_levels", "_check_walk_combination"},
+    }
+    (node,) = [
+        n for n in _claims_functions()["_check_walk_combination"]
+        if isinstance(n, ast.Call) and _names(n.func) == {"walk_levels"}
+    ]
+    assert "kronecker_product" in _names(node.args[0])

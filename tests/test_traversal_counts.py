@@ -1,9 +1,10 @@
 """How many graph traversals each entry point runs.
 
 Every traversal name is replaced, in each module that binds it, by a
-wrapper that records the traversal and the function that called it.  A
-pair checker reads each factor's profile through the campaign memo, so its
-profiles are called from ``_recall``.
+wrapper that records the traversal and the function that called it.  Every
+verify check reads an instance graph's profile and walk levels through the
+campaign memo, so those scans are called from ``_recall``; only a built
+product is scanned directly.
 """
 
 import sys
@@ -79,7 +80,7 @@ def test_predict_runs_one_profile_per_factor(traversals, capsys, pair):
 
 def test_parity_extremal_check_runs_one_parity_traversal(traversals):
     assert claims.REGISTRY["Lem2.6"].check((make_cycle(5),)) is None
-    assert traversals == [("summarize", "_check_parity_extremal_pairs")]
+    assert traversals == [MEMO_PROFILE]
 
 
 @pytest.mark.parametrize(
