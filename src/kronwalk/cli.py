@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import sys
+from collections.abc import Callable
+from types import ModuleType
 from typing import NoReturn, Sequence
 
 from .cycles import DEFAULT_CYCLE_CAP, l_o_bound
@@ -31,6 +34,7 @@ from .extlen import to_json
 from .graphs import (
     ENUM_CAP_LOOPED,
     Graph,
+    check_table_order,
     make_complete,
     make_complete_multipartite,
     make_cycle,
@@ -39,13 +43,34 @@ from .graphs import (
     make_path,
     random_graph,
 )
-from .harness.campaign import CheckOutcome, run_campaign
-from .harness.claims import CLAIM_IDS
-from .harness.ensembles import EnsembleSpec
 from .kronecker import kronecker_product, product_diameter, product_edge_count
 from .predict import DiameterPrediction, predict_diameter
 from .walks import ParityProfile, summarize
 
+
+def _lazy_import(name: str) -> ModuleType:
+    """Register module ``name`` in ``sys.modules`` without running its code.
+
+    The module runs on its first attribute access.  Only ``verify`` reads the
+    harness, so the other commands never pay for its imports, yet every
+    kronwalk module is in ``sys.modules`` once this one is imported.  A module
+    already imported is returned as it is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+campaign = _lazy_import(f"{__package__}.harness.campaign")
+claims = _lazy_import(f"{__package__}.harness.claims")
+ensembles = _lazy_import(f"{__package__}.harness.ensembles")
 
 _FAMILIES = {
     "path": (make_path, 1),
@@ -58,8 +83,12 @@ _FAMILIES = {
 }
 
 
-def parse_graph_spec(spec: str) -> Graph:
-    """Family expression or edge-list file path."""
+def parse_graph_spec(spec: str, check: Callable[[int], None] | None = None) -> Graph:
+    """Family expression or edge-list file path.
+
+    ``check``, if given, may refuse a file's order at its header, before any
+    edge line is parsed.
+    """
     head, sep, rest = spec.partition(":")
     if sep and head in _FAMILIES:
         builder, arity = _FAMILIES[head]
@@ -69,7 +98,7 @@ def parse_graph_spec(spec: str) -> Graph:
         except ValueError as exc:
             raise ValueError(f"{spec}: {exc}") from None
     try:
-        return read_graph(spec)
+        return read_graph(spec, check)
     except OSError as exc:
         raise ValueError(f"cannot read graph file {spec!r}: {exc}") from None
     except ValueError as exc:
@@ -115,7 +144,7 @@ def _prediction_json(
 def cmd_metrics(args: argparse.Namespace) -> int:
     if args.cap_cycles < 1:
         raise ValueError(f"--cap-cycles must be at least 1, got {args.cap_cycles}")
-    g = parse_graph_spec(args.graph)
+    g = parse_graph_spec(args.graph, check_table_order)
     s = summarize(g)
     document = {
         "order": g.order,
@@ -138,8 +167,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    g1 = parse_graph_spec(args.graph1)
-    g2 = parse_graph_spec(args.graph2)
+    g1 = parse_graph_spec(args.graph1, check_table_order)
+    g2 = parse_graph_spec(args.graph2, check_table_order)
     # Build first, so an oversized product fails before any other work, and
     # write after the profiles, so a factor they refuse leaves no file behind.
     product = kronecker_product(g1, g2) if args.out else None
@@ -167,14 +196,14 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    g1 = parse_graph_spec(args.graph1)
-    g2 = parse_graph_spec(args.graph2)
+    g1 = parse_graph_spec(args.graph1, check_table_order)
+    g2 = parse_graph_spec(args.graph2, check_table_order)
     s1, s2 = summarize(g1), summarize(g2)
     _emit(_prediction_json(predict_diameter(s1, s2), s1, s2))
     return 0
 
 
-def _outcome_json(outcome: CheckOutcome) -> dict:
+def _outcome_json(outcome: campaign.CheckOutcome) -> dict:
     failure, counterexample = outcome.failure, None
     if failure is not None:
         counterexample = {
@@ -203,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.random < 0:
         raise ValueError(f"--random must be at least 0, got {args.random}")
     if args.claims == "all":
-        claim_ids = list(CLAIM_IDS)
+        claim_ids = list(claims.CLAIM_IDS)
     else:
         # A claim named twice runs once, in first-seen order.
         claim_ids = list(
@@ -211,8 +240,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if not claim_ids:
         raise ValueError(f"--claims names no claim: {args.claims!r}")
-    ensemble = EnsembleSpec(exhaustive_order=args.exhaustive, random_count=args.random)
-    outcomes = run_campaign(claim_ids, ensemble, args.seed)
+    ensemble = ensembles.EnsembleSpec(
+        exhaustive_order=args.exhaustive, random_count=args.random
+    )
+    outcomes = campaign.run_campaign(claim_ids, ensemble, args.seed)
     # A claim that checked nothing has shown nothing, so it cannot pass.
     unchecked = [o.claim.claim_id for o in outcomes if not o.instances_checked]
     if unchecked:

@@ -1,6 +1,8 @@
 """Plain-text edge-list format.
 
-The header line is ``n <order>``, with the order at most ``MAX_ORDER``.
+The header line is ``n <order>``, with the order at most ``MAX_ORDER``; a
+caller's ``check`` may refuse a smaller order too, before any edge line is
+parsed.
 Every following non-empty line that does not start with ``#`` is ``u v``
 with 0-based vertex indices; ``u u`` denotes a loop.  Each undirected edge
 must appear exactly once, so a repeated edge (in either orientation) is an
@@ -13,6 +15,7 @@ error.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 
 from .graphs import Graph, check_order
 
@@ -23,7 +26,7 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, check: Callable[[int], None] | None = None) -> Graph:
     order: int | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -42,6 +45,8 @@ def parse_edge_list(text: str) -> Graph:
             if order < 1:
                 raise ValueError(f"line {lineno}: order must be at least 1")
             check_order(order)
+            if check is not None:
+                check(order)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -62,10 +67,12 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(order, edges)
 
 
-def read_graph(path: str | os.PathLike[str]) -> Graph:
+def read_graph(
+    path: str | os.PathLike[str], check: Callable[[int], None] | None = None
+) -> Graph:
     # utf-8-sig skips a leading byte-order mark, as some editors write one.
     with open(path, encoding="utf-8-sig") as handle:
-        return parse_edge_list(handle.read())
+        return parse_edge_list(handle.read(), check)
 
 
 def write_graph(path: str | os.PathLike[str], g: Graph) -> None:

@@ -434,6 +434,29 @@ def test_oversized_edge_list_header_exits_one_at_once(monkeypatch, tmp_path, cap
     assert "exceeds the limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["metrics", "{}"], ["predict", "{}", "cycle:3"], ["product", "cycle:3", "{}"]],
+    ids=["metrics", "predict", "product"],
+)
+def test_file_above_the_table_limit_is_refused_at_its_header(tmp_path, capsys, argv):
+    # The malformed second line is never parsed: the header refuses the file.
+    path = tmp_path / "big.edges"
+    path.write_text("n 5000\nnot an edge\n")
+    code, out, err = run_cli(capsys, *[arg.format(path) for arg in argv])
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: order 5000 exceeds the all-pairs table limit of 3000\n"
+
+
+def test_generate_reads_a_file_above_the_table_limit(tmp_path, capsys):
+    # generate runs no scan, so only MAX_ORDER bounds the file it reads.
+    path = tmp_path / "big.edges"
+    path.write_text("n 5000\nnot an edge\n")
+    code, out, err = run_cli(capsys, "generate", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: line 2: expected 'u v'\n"
+
+
 def test_oversized_product_is_measured_but_not_written(tmp_path, capsys):
     out_path = tmp_path / "product.edges"
     code, out, err = run_cli(
@@ -518,7 +541,9 @@ def test_verify_refuses_an_empty_claim_list(monkeypatch, capsys, claims):
     import kronwalk.cli as cli_module
 
     campaigns = []
-    monkeypatch.setattr(cli_module, "run_campaign", lambda *args: campaigns.append(args))
+    monkeypatch.setattr(
+        cli_module.campaign, "run_campaign", lambda *args: campaigns.append(args)
+    )
     code, out, err = run_cli(capsys, "verify", "--claims", claims)
     assert code == 1
     assert out == ""
@@ -531,11 +556,15 @@ def test_verify_refuses_an_empty_claim_list(monkeypatch, capsys, claims):
     [
         ["metrics", "cycle:5"],
         ["verify", "--claims", "Thm3.1,Lem2.6", "--exhaustive", "2", "--random", "3"],
+        ["product", "cycle:5", "cycle:3"],
+        ["predict", "cycle:5", "path:4"],
     ],
 )
 def test_benchmark_tracer_runs_the_cli(tmp_path, argv):
     # The benchmark's tracer imports kronwalk.cli alone, then looks up every
-    # kronwalk module in sys.modules: that import must still load them all.
+    # kronwalk module in sys.modules: that import must still register them
+    # all, the harness modules lazily, and wrapping must load them even for
+    # a command that never reads the harness.
     root = Path(__file__).parents[1]
     trace = tmp_path / "run.trace"
     result = subprocess.run(

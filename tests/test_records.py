@@ -1,7 +1,9 @@
 """The result records are frozen, hashable named tuples.
 
 Named tuples are created without generating code, so importing the package
-loads neither ``dataclasses`` nor ``inspect``.
+loads neither ``dataclasses`` nor ``inspect``.  The verify harness, whose
+``Claim`` is a dataclass, runs only when ``verify`` reads it, so the
+``metrics``, ``predict`` and ``product`` commands load neither either.
 """
 
 import subprocess
@@ -38,6 +40,38 @@ def test_importing_the_package_loads_no_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# Runs kronwalk.cli as __main__, as `python -m kronwalk.cli` does, and prints
+# which of dataclasses and inspect are loaded from an exit handler.
+_MODULE_ENTRY = """
+import atexit, runpy, sys
+sys.path.insert(0, sys.argv.pop(1))
+atexit.register(
+    lambda: print(sorted({"dataclasses", "inspect"} & set(sys.modules)), file=sys.stderr)
+)
+runpy.run_module("kronwalk.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["metrics", "cycle:5"], "[]"),
+        (["predict", "cycle:5", "cycle:3"], "[]"),
+        (["product", "cycle:5", "cycle:3"], "[]"),
+        (["verify", "--claims", "Prop1.1", "--exhaustive", "1", "--random", "1"],
+         "['dataclasses', 'inspect']"),
+    ],
+    ids=["metrics", "predict", "product", "verify"],
+)
+def test_only_verify_runs_the_harness(tmp_path, argv, loaded):
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _MODULE_ENTRY, str(SRC), *argv],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == loaded
 
 
 def _records():
