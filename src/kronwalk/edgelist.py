@@ -2,7 +2,7 @@
 
 The header line is ``n <order>``, with the order at most ``MAX_ORDER``; a
 caller's ``check`` may refuse a smaller order too, before any edge line is
-parsed.
+parsed.  A file is refused once it lists more than ``MAX_EDGES`` edges.
 Every following non-empty line that does not start with ``#`` is ``u v``
 with 0-based vertex indices; ``u u`` denotes a loop.  Each undirected edge
 must appear exactly once, so a repeated edge (in either orientation) is an
@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 
-from .graphs import Graph, check_order
+from .graphs import Graph, check_edges, check_order
 
 
 def format_edge_list(g: Graph) -> str:
@@ -62,6 +62,7 @@ def parse_edge_list(text: str, check: Callable[[int], None] | None = None) -> Gr
             raise ValueError(f"line {lineno}: duplicate edge {u} {v}")
         seen.add(key)
         edges.append((u, v))
+        check_edges(len(edges))
     if order is None:
         raise ValueError("missing header line 'n <order>'")
     return Graph(order, edges)

@@ -3,9 +3,10 @@
 Vertices are the integers ``0 .. order-1``.  Loops are allowed and a loop is
 stored as the vertex appearing once in its own sorted neighbor tuple; it
 counts as one edge and contributes two to the degree.  Parallel edges do not
-exist.  Graphs are value objects: equality and hashing follow the adjacency
-structure, and every mutation-like operation returns a new graph, so
-instances can be shared freely across concurrent work.
+exist.  Graphs are immutable values: equality and hashing follow the
+adjacency structure, so instances can be shared freely across concurrent
+work.  No method derives a smaller graph; the verify minimizer builds its
+own.
 
 Besides the core type this module provides the named family constructors
 (paths, cycles, complete graphs with or without loops, complete multipartite
@@ -13,7 +14,7 @@ graphs, and the path-plus-clique / path-plus-cycle families), seeded random
 generation, and exhaustive enumeration of small graphs, one per
 isomorphism class.  It holds the size limits that every module checks: no
 graph has more than ``MAX_ORDER`` vertices, and no dense family graph,
-random graph or product more than ``MAX_EDGES`` edges.
+random graph, product or edge-list file more than ``MAX_EDGES`` edges.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ ENUM_CAP_LOOPLESS = 5
 ENUM_CAP_LOOPED = 4
 # Largest order any graph may have, products included.
 MAX_ORDER = 100_000
-# Largest edge count of a dense family graph, a random graph or a product;
-# each listed edge costs a few hundred bytes until the graph is built.
+# Largest edge count of a dense family graph, a random graph, a product or an
+# edge-list file; each listed edge costs a few hundred bytes until the graph
+# is built.
 MAX_EDGES = 1_000_000
 # Largest order of a graph given an all-sources scan.  No scan builds an
 # all-pairs table: the reach scan behind `diameter` keeps two levels of n-bit
@@ -61,7 +63,7 @@ def check_order(order: int) -> None:
 
 
 def check_edges(count: int) -> None:
-    """Refuse an edge count above MAX_EDGES before any edge is listed."""
+    """Refuse an edge count above MAX_EDGES before the list outgrows it."""
     if count > MAX_EDGES:
         raise ValueError(f"edge count {count} exceeds the limit of {MAX_EDGES}")
 
@@ -96,7 +98,7 @@ class Graph:
         """The graph with these neighbour tuples, taken as they are.
 
         For builders whose rows are sorted, duplicate-free and symmetric by
-        construction; ``validate`` re-checks that.
+        construction; the tests re-check that with ``helpers.check_rows``.
         """
         g = cls.__new__(cls)
         g._neighbors = rows
@@ -109,9 +111,6 @@ class Graph:
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted neighbors of ``u``; contains ``u`` itself iff ``u`` has a loop."""
         return self._neighbors[u]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._neighbors[u]
 
     def has_loop(self, u: int) -> bool:
         return u in self._neighbors[u]
@@ -135,38 +134,6 @@ class Graph:
     def edge_count(self) -> int:
         # A loop appears once in its row, and any other edge once in each of two.
         return (sum(map(len, self._neighbors)) + sum(self.loop_flags)) // 2
-
-    def remove_vertex(self, v: int) -> Graph:
-        """New graph without ``v``; higher labels shift down by one."""
-        if self.order < 2:
-            raise ValueError("cannot remove the last vertex")
-        if not 0 <= v < self.order:
-            raise ValueError(f"vertex {v} out of range")
-        kept = [
-            (a - (a > v), b - (b > v))
-            for a, b in self.edges()
-            if a != v and b != v
-        ]
-        return Graph(self.order - 1, kept)
-
-    def remove_edge(self, u: int, v: int) -> Graph:
-        """New graph without the edge ``{u, v}``."""
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) not present")
-        lo, hi = min(u, v), max(u, v)
-        kept = [e for e in self.edges() if e != (lo, hi)]
-        return Graph(self.order, kept)
-
-    def validate(self) -> None:
-        """Re-check the structural invariants; raises ValueError on violation."""
-        for u, nbrs in enumerate(self._neighbors):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise ValueError(f"neighbor tuple of {u} not sorted and duplicate-free")
-            for v in nbrs:
-                if not 0 <= v < self.order:
-                    raise ValueError(f"neighbor {v} of {u} out of range")
-                if u not in self._neighbors[v]:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

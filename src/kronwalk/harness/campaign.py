@@ -14,6 +14,7 @@ import random
 import time
 from typing import Iterator, NamedTuple
 
+from ..graphs import Graph
 from .claims import CLAIM_IDS, REGISTRY, Claim, Failure, Instance, memo_profiles
 from .ensembles import EnsembleSpec
 
@@ -63,13 +64,17 @@ def run_campaign(
 
 
 def _single_deletions(graphs: Instance) -> Iterator[Instance]:
-    """The instance less one vertex or one edge: graph by graph, vertices
-    first.  A graph of order one keeps its vertex."""
+    """The instance less one vertex or one edge: graph by graph, every vertex
+    first, with the labels above it shifted down by one, then every edge in
+    ``edges()`` order.  A graph of order one keeps its vertex."""
     for i, g in enumerate(graphs):
+        edges = list(g.edges())
         for v in range(g.order if g.order >= 2 else 0):
-            yield graphs[:i] + (g.remove_vertex(v),) + graphs[i + 1 :]
-        for u, v in g.edges():
-            yield graphs[:i] + (g.remove_edge(u, v),) + graphs[i + 1 :]
+            kept = [(a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b)]
+            yield graphs[:i] + (Graph(g.order - 1, kept),) + graphs[i + 1 :]
+        for k in range(len(edges)):
+            kept = edges[:k] + edges[k + 1 :]
+            yield graphs[:i] + (Graph(g.order, kept),) + graphs[i + 1 :]
 
 
 def minimize_counterexample(claim: Claim, instance: Instance) -> Instance:

@@ -21,8 +21,8 @@ RANDOM_SINGLE_ORDER = 8  # largest random graph in the cycle-bound claim
 class EnsembleSpec(NamedTuple):
     """Cap for exhaustive sweeps and count for randomized ones."""
 
-    exhaustive_order: int = 4  # graphs with loops up to this order, one per class
-    random_count: int = 500  # random instances per claim
+    exhaustive_order: int  # graphs with loops up to this order, one per class
+    random_count: int  # random instances per claim
 
     @property
     def exhaustive_loopless_order(self) -> int:

@@ -7,7 +7,8 @@ boolean matrix powers it is used to check.  ``brute_odd_cycles`` and
 ``brute_l_o_bound`` are the brute force for the odd-cycle bound: a DFS from
 every anchor over the whole graph, and every cycle scored off
 ``dp_distances``, read from the walk enumeration and not from the BFS that
-the bound itself runs.
+the bound itself runs.  ``check_rows`` is the reference check on the
+neighbour rows that ``Graph._from_rows`` takes on trust.
 """
 
 from __future__ import annotations
@@ -20,6 +21,20 @@ from hypothesis import strategies as st
 from kronwalk import INF, Graph, is_connected, random_graph
 
 ACCEPT_SEED = 7
+
+
+def check_rows(g: Graph) -> None:
+    """Raise ValueError unless every neighbour row of ``g`` is sorted,
+    duplicate-free, in range and matched by the row of each neighbour."""
+    for u in range(g.order):
+        nbrs = g.neighbors(u)
+        if list(nbrs) != sorted(set(nbrs)):
+            raise ValueError(f"neighbor tuple of {u} not sorted and duplicate-free")
+        for v in nbrs:
+            if not 0 <= v < g.order:
+                raise ValueError(f"neighbor {v} of {u} out of range")
+            if u not in g.neighbors(v):
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
 
 def walk_reach(g: Graph, max_len: int) -> list[list[list[bool]]]:

@@ -345,6 +345,33 @@ def test_verify_counterexample_exits_two_with_minimized_instance(monkeypatch, ca
     assert cx["detail"] == "synthetic failure"
 
 
+def test_verify_shrinks_a_registered_claims_counterexample(monkeypatch, capsys):
+    from kronwalk.harness import claims
+
+    real = claims.predict_all_loops
+
+    def wrong(s1, s2):
+        return real(s1, s2) + 1 if s1.order >= 3 else real(s1, s2)
+
+    monkeypatch.setattr(claims, "predict_all_loops", wrong)
+    code, out, _ = run_cli(
+        capsys, "verify", "--claims", "CorLoops", "--exhaustive", "3",
+        "--random", "20", "--seed", "0",
+    )
+    assert code == 2
+    # A looped star on three vertices times a looped edge: no single vertex
+    # or edge deletion keeps the injected error.
+    assert json.loads(out)["claims"][0]["counterexample"] == {
+        "actual": 2,
+        "detail": "closed form differs from brute force",
+        "expected": 3,
+        "graphs": [
+            {"edges": [[0, 0], [0, 1], [0, 2], [1, 1], [2, 2]], "order": 3},
+            {"edges": [[0, 0], [0, 1], [1, 1]], "order": 2},
+        ],
+    }
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["metrics"])  # missing the graph argument
@@ -446,6 +473,32 @@ def test_file_above_the_table_limit_is_refused_at_its_header(tmp_path, capsys, a
     code, out, err = run_cli(capsys, *[arg.format(path) for arg in argv])
     assert code == 1 and out == ""
     assert err == f"error: {path}: order 5000 exceeds the all-pairs table limit of 3000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["metrics", "{}"], ["predict", "{}", "cycle:3"], ["product", "cycle:3", "{}"],
+     ["generate", "{}"]],
+    ids=["metrics", "predict", "product", "generate"],
+)
+def test_file_above_the_edge_limit_is_refused_while_it_is_read(
+    monkeypatch, tmp_path, capsys, argv
+):
+    import kronwalk.graphs as graphs_module
+
+    monkeypatch.setattr(graphs_module, "MAX_EDGES", 10)
+    path = tmp_path / "dense.edges"
+    # K5 plus a loop on every vertex: 15 edges.  The malformed last line is
+    # never parsed, since the eleventh edge is refused first.
+    lines = [f"{u} {v}" for u in range(5) for v in range(u, 5)]
+    path.write_text("\n".join(["n 5", *lines, "not an edge"]) + "\n")
+    code, out, err = run_cli(capsys, *[arg.format(path) for arg in argv])
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: edge count 11 exceeds the limit of 10\n"
+    # A file at the limit reads as before.
+    path.write_text("\n".join(["n 5", *lines[:10]]) + "\n")
+    code, out, _ = run_cli(capsys, *[arg.format(path) for arg in argv])
+    assert code == 0 and out
 
 
 def test_generate_reads_a_file_above_the_table_limit(tmp_path, capsys):

@@ -22,7 +22,11 @@ from kronwalk import (
 )
 from kronwalk.graphs import OutsideHypotheses
 from kronwalk.harness import claims
-from kronwalk.harness.campaign import minimize_counterexample, run_campaign
+from kronwalk.harness.campaign import (
+    _single_deletions,
+    minimize_counterexample,
+    run_campaign,
+)
 from kronwalk.harness.claims import (
     CLAIM_IDS,
     REGISTRY,
@@ -365,16 +369,21 @@ def test_minimizer_finds_local_minimum_for_injected_bug():
     minimized = minimize_counterexample(claim, instance)
     assert claim.check(minimized) is not None
     # locally minimal: no single deletion still fails
-    for i, g in enumerate(minimized):
-        for v in range(g.order):
-            if g.order >= 2:
-                candidate = (
-                    minimized[:i] + (g.remove_vertex(v),) + minimized[i + 1 :]
-                )
-                assert claim.check(candidate) is None
-        for u, v in g.edges():
-            candidate = minimized[:i] + (g.remove_edge(u, v),) + minimized[i + 1 :]
-            assert claim.check(candidate) is None
+    assert all(claim.check(c) is None for c in _single_deletions(minimized))
+
+
+def test_single_deletions_drop_each_vertex_then_each_edge():
+    # Labels above a deleted vertex shift down by one; edges go in edges()
+    # order; a graph of order one keeps its vertex.
+    instance = (Graph(3, [(0, 0), (0, 1), (1, 2)]), Graph(1))
+    assert list(_single_deletions(instance)) == [
+        (Graph(2, [(0, 1)]), Graph(1)),
+        (Graph(2, [(0, 0)]), Graph(1)),
+        (Graph(2, [(0, 0), (0, 1)]), Graph(1)),
+        (Graph(3, [(0, 1), (1, 2)]), Graph(1)),
+        (Graph(3, [(0, 0), (1, 2)]), Graph(1)),
+        (Graph(3, [(0, 0), (0, 1)]), Graph(1)),
+    ]
 
 
 def test_failing_campaign_records_the_shrunk_counterexample_and_its_failure(

@@ -82,7 +82,7 @@ def _records():
         l_o_bound(make_cycle(5), c5),
         diameter_bounds(c5, c5),
         predict_diameter(c5, c5),
-        EnsembleSpec(),
+        EnsembleSpec(4, 500),
         Failure(4, 5, "off by one"),
         run_campaign(["Prop1.1"], EnsembleSpec(1, 1), 0)[0],
     ]

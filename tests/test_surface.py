@@ -1,11 +1,12 @@
-"""Every exported name has a use inside the package.
+"""Every exported name, and every public name defined, has a use inside the package.
 
 A name in ``kronwalk.__all__`` must appear as code somewhere in
 ``src/kronwalk/`` outside the package ``__init__.py``: not as the name of
 its own ``def`` or ``class``, not as an attribute after a dot, and not in
 a comment or a string.  So the CLI, the verify harness or a cross-check
-route uses it.  The only exceptions are the names below, kept for outside
-callers.
+route uses it.  Every public function, class, method and property defined
+in the package must appear there too, an attribute after a dot included.
+The only exceptions are the names below, kept for outside callers.
 
 Each name has one definition: the profile reader lives in ``walks`` alone,
 the harness package binds only its submodules, the prediction record
@@ -13,6 +14,7 @@ copies no field of the profiles it was given, and only the main predictor
 builds that record.
 """
 
+import ast
 import tokenize
 from pathlib import Path
 from types import ModuleType
@@ -31,7 +33,7 @@ KEPT_FOR_OUTSIDE_CALLERS = ("exponent", "odd_girth", "is_bipartite")
 PACKAGE = Path(kronwalk.__file__).parent
 
 
-def _names_used_inside_the_package() -> set[str]:
+def _names_used_inside_the_package(skipped_after=("def", "class", ".")) -> set[str]:
     used = set()
     for path in PACKAGE.rglob("*.py"):
         if path == PACKAGE / "__init__.py":
@@ -39,11 +41,28 @@ def _names_used_inside_the_package() -> set[str]:
         previous = None
         with tokenize.open(path) as handle:
             for token in tokenize.generate_tokens(handle.readline):
-                if token.type == tokenize.NAME and previous not in ("def", "class", "."):
+                if token.type == tokenize.NAME and previous not in skipped_after:
                     used.add(token.string)
                 if token.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT):
                     previous = token.string
     return used
+
+
+def _public_definitions():
+    """``(qualified name, name)`` of each public function, class, method and
+    property: its name, and for a member its class's name, lack a leading
+    underscore."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            yield f"{module}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, defs) and not member.name.startswith("_"):
+                        yield f"{module}.{node.name}.{member.name}", member.name
 
 
 def test_every_export_is_used_inside_the_package():
@@ -51,6 +70,16 @@ def test_every_export_is_used_inside_the_package():
     unused = [
         name
         for name in kronwalk.__all__
+        if name not in KEPT_FOR_OUTSIDE_CALLERS and name not in used
+    ]
+    assert unused == []
+
+
+def test_every_public_definition_is_used_inside_the_package():
+    used = _names_used_inside_the_package(skipped_after=("def", "class"))
+    unused = [
+        qualified
+        for qualified, name in _public_definitions()
         if name not in KEPT_FOR_OUTSIDE_CALLERS and name not in used
     ]
     assert unused == []
