@@ -15,6 +15,7 @@ from kronwalk import (
     unlabeled_graphs,
 )
 import kronwalk.graphs as graphs_module
+from kronwalk.harness.campaign import _single_deletions
 from kronwalk.harness.claims import are_isomorphic
 from kronwalk.walks import is_bipartite, is_connected
 
@@ -104,6 +105,22 @@ def test_graphs_are_value_objects():
     assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
     assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
     assert hash(Graph(3, [(0, 1)])) == hash(Graph(3, [(0, 1)]))
+
+
+def test_remove_vertex_relabels():
+    # The second candidate drops vertex 1; labels above it shift down by one.
+    (g,) = list(_single_deletions((make_path(4),)))[1]
+    assert g.order == 3
+    assert list(g.edges()) == [(1, 2)]
+    assert list(_single_deletions((Graph(1),))) == []
+
+
+def test_remove_edge():
+    # After the three vertex deletions come the edge deletions, in edges() order.
+    (g,) = list(_single_deletions((make_cycle(3),)))[3]
+    assert list(g.edges()) == [(0, 2), (1, 2)]
+    edge_deletions = [c for (c,) in _single_deletions((g,)) if c.order == 3]
+    assert [list(c.edges()) for c in edge_deletions] == [[(1, 2)], [(0, 2)]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
