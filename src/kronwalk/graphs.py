@@ -28,8 +28,9 @@ ENUM_CAP_LOOPED = 4
 # Largest order any graph may have, products included.
 MAX_ORDER = 100_000
 # Largest edge count of a dense family graph, a random graph, a product or an
-# edge-list file; each listed edge costs a few hundred bytes until the graph
-# is built.
+# edge-list file.  Reading a file costs about 130 bytes an edge until the
+# graph is built, about 210 at the peak of the build, and the built graph
+# keeps about 60 (complete graphs on 1000 and 1600 vertices, Python 3.11).
 MAX_EDGES = 1_000_000
 # Largest order of a graph given an all-sources scan.  No scan builds an
 # all-pairs table: the reach scan behind `diameter` keeps two levels of n-bit

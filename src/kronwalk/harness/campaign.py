@@ -10,6 +10,7 @@ only formats what the campaign found.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from typing import Iterator, NamedTuple
@@ -60,6 +61,17 @@ def run_campaign(
             counterexample = minimize_counterexample(claim, counterexample)
             failure = claim.check(counterexample)
         outcomes.append(CheckOutcome(claim, checked, counterexample, failure, elapsed))
+        # Give the claim's freed heap back before the next claim runs.  The
+        # collection finds nothing unreachable; a full one also empties the
+        # interpreter's free lists (CPython 3.11), which otherwise keep the
+        # pools of the tuples, lists and dicts the claim freed partly in use,
+        # so the next claim grows the heap instead of reusing them.  With
+        # `run`'s `gc.freeze()` no automatic full collection comes inside a
+        # `verify` process.  All 20 claims at `--exhaustive 3 --random 100`,
+        # seeds 0 and 1, peaked at 16.3-16.7 MB without it and 15.7 MB with
+        # it; the 20 collections took 5-10 ms of a 0.4-0.6 s campaign
+        # (Python 3.11.7, 2 vCPUs).
+        gc.collect()
     return outcomes
 
 

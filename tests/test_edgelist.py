@@ -11,6 +11,8 @@ from kronwalk import (
     read_graph,
     write_graph,
 )
+import kronwalk.edgelist as edgelist_module
+import kronwalk.graphs as graphs_module
 from kronwalk.edgelist import graph_to_json
 
 from helpers import graphs
@@ -18,9 +20,9 @@ from helpers import graphs
 
 def test_format_round_trip_explicit():
     g = Graph(3, [(0, 0), (0, 2), (1, 2)])
-    text = format_edge_list(g)
-    assert text == "n 3\n0 0\n0 2\n1 2\n"
-    assert parse_edge_list(text) == g
+    lines = list(format_edge_list(g))
+    assert lines == ["n 3\n", "0 0\n", "0 2\n", "1 2\n"]
+    assert parse_edge_list("".join(lines)) == g
 
 
 def test_json_form_lists_the_edges_once():
@@ -31,7 +33,9 @@ def test_json_form_lists_the_edges_once():
 @given(graphs(max_order=7))
 @settings(max_examples=100)
 def test_round_trip(g):
+    # The parser takes the lines as format_edge_list yields them, or the text.
     assert parse_edge_list(format_edge_list(g)) == g
+    assert parse_edge_list("".join(format_edge_list(g))) == g
 
 
 def test_comments_and_blank_lines():
@@ -81,3 +85,58 @@ def test_readme_example_parses():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Edge-list format", 1)[1].split("```")[1]
     assert parse_edge_list(block) == Graph(5, [(0, 1), (1, 2), (2, 2)])
+
+
+def _lines_then_stop(lines, allowed):
+    """Yield ``lines``, failing the test if more than ``allowed`` are taken."""
+    for taken, line in enumerate(lines, start=1):
+        if taken > allowed:
+            raise AssertionError(f"line {taken} was read")
+        yield line
+
+
+def test_a_header_refusal_reads_no_line_past_the_header():
+    def refuse(order):
+        raise ValueError(f"order {order} refused")
+
+    lines = ["# big\n", "n 5000\n", "0 1\n"]
+    with pytest.raises(ValueError, match="order 5000 refused"):
+        parse_edge_list(_lines_then_stop(lines, 2), refuse)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_edge_list(_lines_then_stop(["n 1000000000\n", "0 1\n"], 1))
+
+
+def test_the_reader_stops_at_the_first_edge_past_the_limit(monkeypatch):
+    monkeypatch.setattr(graphs_module, "MAX_EDGES", 10)
+    # K5 plus a loop on every vertex: 15 edges after the header line.
+    lines = ["n 5\n"] + [f"{u} {v}\n" for u in range(5) for v in range(u, 5)]
+    with pytest.raises(ValueError, match="edge count 11 exceeds the limit of 10"):
+        parse_edge_list(_lines_then_stop(lines, 12))
+    assert parse_edge_list(lines[:11]).edge_count == 10
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("n 3\n0 1\f0 x\n", 3),  # a form feed splits a line
+        ("n 3\n0 1\u20280 x\n", 3),  # so does U+2028
+        ("n 3\r\n0 1\r\n\r\n0 x\r\n", 4),
+        ("n 3\r0 1\r0 x", 3),
+    ],
+)
+def test_a_file_numbers_its_lines_as_splitlines_does(tmp_path, text, lineno):
+    path = tmp_path / "g.edges"
+    path.write_bytes(text.encode("utf-8"))
+    message = f"line {lineno}: endpoints are not integers"
+    with pytest.raises(ValueError, match=message):
+        parse_edge_list(text)
+    with pytest.raises(ValueError, match=message):
+        read_graph(path)
+
+
+def test_a_file_is_written_in_chunks_of_lines(monkeypatch, tmp_path):
+    monkeypatch.setattr(edgelist_module, "_WRITE_CHUNK_LINES", 2)
+    path = tmp_path / "g.edges"
+    g = make_cycle(5)
+    write_graph(path, g)
+    assert path.read_text(encoding="utf-8") == "".join(format_edge_list(g))

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -100,6 +102,26 @@ def test_campaign_is_deterministic():
     # instances
     alone = run_campaign(["Prop1.1"], SMALL, seed=9)
     assert alone[0].instances_checked == first[1].instances_checked
+
+
+def test_campaign_gives_each_claims_freed_memory_back():
+    # The tuples, lists and dicts a claim frees stay allocated in the
+    # interpreter's free lists until a full collection empties them; the
+    # campaign runs one after each claim, so the next claim reuses the heap
+    # instead of growing it, and nothing is left over once the run ends.
+    # Without that collection about 260 KiB would stay allocated here.
+    claim_ids = ["Lem2.5", "Lem2.7"]
+    run_campaign(claim_ids, SMALL, seed=0)  # loads the modules and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        outcomes = run_campaign(claim_ids, SMALL, seed=0)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(o.failure is None for o in outcomes)
+    assert left < 32 * 1024
 
 
 def test_campaign_profiles_each_factor_once_per_claim(monkeypatch):
