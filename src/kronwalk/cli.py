@@ -6,7 +6,9 @@ prediction, and optionally write the product out), ``predict``
 (closed-form prediction only), ``verify`` (report the claim campaign that
 ``harness.campaign.run_campaign`` runs), and ``generate`` (construct a
 graph and write it out).  Each command reads its flags, calls the library
-and builds one document from what it returns.
+and builds one document from what it returns.  ``--out`` files, in either
+``--format``, are written by ``edgelist.write_graph``; this module opens no
+file.
 
 Graphs are given either as an edge-list file path or as a family
 expression: ``path:n``, ``cycle:n``, ``complete:n``, ``complete+:n``,
@@ -174,7 +176,7 @@ def cmd_product(args: argparse.Namespace) -> int:
     product = kronecker_product(g1, g2) if args.out else None
     s1, s2 = summarize(g1), summarize(g2)
     if product is not None:
-        _write_output(args.out, product, args.format)
+        write_graph(args.out, product, args.format)
     prediction = predict_diameter(s1, s2)
     measured = product_diameter(s1, s2)
     document = {
@@ -281,19 +283,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         g = parse_graph_spec(args.spec)
     if args.out:
-        _write_output(args.out, g, args.format)
+        write_graph(args.out, g, args.format)
         _emit({"order": g.order, "edges": g.edge_count, "out": args.out})
     else:
         _emit({**graph_to_json(g), "out": None})
     return 0
-
-
-def _write_output(path: str, g: Graph, fmt: str) -> None:
-    if fmt == "edgelist":
-        write_graph(path, g)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(graph_to_json(g), sort_keys=True) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):

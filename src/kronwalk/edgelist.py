@@ -1,4 +1,5 @@
-"""Plain-text edge-list format, read and written a line at a time.
+"""Graph files: the plain-text edge list, read and written a line at a time,
+and the JSON form, written an edge at a time.
 
 The header line is ``n <order>``, with the order at most ``MAX_ORDER``; a
 caller's ``check`` may refuse a smaller order too, before any edge line is
@@ -9,11 +10,17 @@ undirected edge must appear exactly once, so a repeated edge (in either
 orientation) is an error.  Lines are numbered as ``str.splitlines`` splits
 the text, so a form feed or a U+2028 inside a file line starts a new one.
 
+A file may also be written in JSON form, ``{"edges": [[u, v], ...],
+"order": n}`` on one line with its keys sorted, the edges in ``g.edges()``
+order: the bytes of ``json.dumps(graph_to_json(g), sort_keys=True)`` and a
+newline, which ``--format json`` asks for.  Only the edge list is read back.
+
 Neither direction holds a file's whole text: :func:`read_graph` keeps only
 the set of edges read so far, from which the ``Graph`` is built, and
-:func:`write_graph` writes :func:`format_edge_list`'s lines in chunks.
-:func:`graph_to_json` gives the JSON form, ``{"order": n, "edges": [[u, v],
-...]}``, that ``generate`` prints and counterexamples carry.
+:func:`write_graph` writes the pieces that :func:`format_edge_list` or
+:func:`format_json` yields in chunks, whichever format it is given.
+:func:`graph_to_json` gives the JSON form as a dict, which ``generate``
+prints and counterexamples carry.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from itertools import chain, islice
 from .graphs import Graph, check_edges, check_order
 
 # Lines joined into one write: small files take one write, and a large one
-# never holds more than this many lines as one string.
+# never holds more than this many lines, or JSON edges, as one string.
 _WRITE_CHUNK_LINES = 4096
 
 
@@ -35,6 +42,18 @@ def format_edge_list(g: Graph) -> Iterator[str]:
     yield f"n {g.order}\n"
     for u, v in g.edges():
         yield f"{u} {v}\n"
+
+
+def format_json(g: Graph) -> Iterator[str]:
+    """Yield ``g``'s JSON file form a piece at a time: the opening, one piece
+    per edge in ``g.edges()`` order, then the order and a newline."""
+    yield '{"edges": ['
+    for i, (u, v) in enumerate(g.edges()):
+        yield f", [{u}, {v}]" if i else f"[{u}, {v}]"
+    yield f'], "order": {g.order}}}\n'
+
+
+_FORMATS = {"edgelist": format_edge_list, "json": format_json}
 
 
 def parse_edge_list(
@@ -99,10 +118,14 @@ def read_graph(
         return parse_edge_list(handle, check)
 
 
-def write_graph(path: str | os.PathLike[str], g: Graph) -> None:
-    lines = format_edge_list(g)
+def write_graph(path: str | os.PathLike[str], g: Graph, fmt: str = "edgelist") -> None:
+    """Write ``g`` to ``path`` as an edge list or, with ``fmt="json"``, in JSON
+    form; any other ``fmt`` is refused before the file is opened."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown graph format {fmt!r}; known: {', '.join(_FORMATS)}")
+    pieces = _FORMATS[fmt](g)
     with open(path, "w", encoding="utf-8") as handle:
-        while chunk := "".join(islice(lines, _WRITE_CHUNK_LINES)):
+        while chunk := "".join(islice(pieces, _WRITE_CHUNK_LINES)):
             handle.write(chunk)
 
 

@@ -15,6 +15,11 @@ generation, and exhaustive enumeration of small graphs, one per
 isomorphism class.  It holds the size limits that every module checks: no
 graph has more than ``MAX_ORDER`` vertices, and no dense family graph,
 random graph, product or edge-list file more than ``MAX_EDGES`` edges.
+
+Most builders list their edges and let ``Graph`` sort them into rows.  The
+dense families, complete and complete multipartite graphs, lay out their
+rows directly through ``Graph._from_rows``, as ``kronecker_product`` does,
+and rows that are equal share one tuple.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ MAX_ORDER = 100_000
 # edge-list file.  Reading a file costs about 130 bytes an edge until the
 # graph is built, about 210 at the peak of the build, and the built graph
 # keeps about 60 (complete graphs on 1000 and 1600 vertices, Python 3.11).
+# The dense families are laid out as rows: a complete graph keeps about 16
+# bytes an edge, which is also its peak (complete:1000 and complete:1414),
+# and a looped complete or a complete multipartite graph shares one row per
+# part, under 0.1 MB at 1000 vertices.
 MAX_EDGES = 1_000_000
 # Largest order of a graph given an all-sources scan.  No scan builds an
 # all-pairs table: the reach scan behind `diameter` keeps two levels of n-bit
@@ -99,7 +108,10 @@ class Graph:
         """The graph with these neighbour tuples, taken as they are.
 
         For builders whose rows are sorted, duplicate-free and symmetric by
-        construction; the tests re-check that with ``helpers.check_rows``.
+        construction, and which have run ``check_order`` and ``check_edges``
+        first: ``make_complete``, ``make_complete_multipartite`` and
+        ``kronecker.kronecker_product``.  The tests re-check their rows with
+        ``helpers.check_rows``.
         """
         g = cls.__new__(cls)
         g._neighbors = rows
@@ -165,19 +177,27 @@ def make_cycle(n: int) -> Graph:
 
 
 def make_complete(n: int, with_loops: bool = False) -> Graph:
-    """Complete graph on ``n`` vertices, optionally with a loop on every vertex."""
+    """Complete graph on ``n`` vertices, optionally with a loop on every vertex.
+
+    Built from its rows: with loops every row is the one tuple of all the
+    vertices, and without them each row is that tuple less its own vertex.
+    """
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
     check_order(n)
     check_edges(n * (n - 1) // 2 + (n if with_loops else 0))
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    verts = tuple(range(n))
     if with_loops:
-        edges.extend((v, v) for v in range(n))
-    return Graph(n, edges)
+        return Graph._from_rows((verts,) * n)
+    return Graph._from_rows(tuple(verts[:u] + verts[u + 1 :] for u in range(n)))
 
 
 def make_complete_multipartite(part_sizes: Iterable[int]) -> Graph:
-    """Complete multipartite graph; parts occupy consecutive label blocks."""
+    """Complete multipartite graph; parts occupy consecutive label blocks.
+
+    Built from its rows: every vertex of a part shares the one tuple of the
+    vertices outside that part.
+    """
     sizes = list(part_sizes)
     if len(sizes) < 2:
         raise ValueError("need at least two parts")
@@ -185,17 +205,12 @@ def make_complete_multipartite(part_sizes: Iterable[int]) -> Graph:
         raise ValueError("every part needs at least one vertex")
     check_order(sum(sizes))
     check_edges((sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2)
-    part_of: list[int] = []
-    for index, size in enumerate(sizes):
-        part_of.extend([index] * size)
-    n = len(part_of)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if part_of[u] != part_of[v]
-    ]
-    return Graph(n, edges)
+    verts = tuple(range(sum(sizes)))
+    rows: list[tuple[int, ...]] = []
+    for size in sizes:
+        start = len(rows)
+        rows += [verts[:start] + verts[start + size :]] * size
+    return Graph._from_rows(tuple(rows))
 
 
 def _family(n: int, p: int, attachment: Graph) -> Graph:

@@ -53,13 +53,12 @@ def run_campaign(
         with memo_profiles():
             for instance in claim.instances(ensemble, rng):
                 checked += 1
-                if claim.check(instance) is not None:
-                    counterexample = instance
+                failure = claim.check(instance)
+                if failure is not None:
                     break
         elapsed = time.perf_counter() - start
-        if counterexample is not None:
-            counterexample = minimize_counterexample(claim, counterexample)
-            failure = claim.check(counterexample)
+        if failure is not None:
+            counterexample, failure = minimize_counterexample(claim, instance, failure)
         outcomes.append(CheckOutcome(claim, checked, counterexample, failure, elapsed))
         # Give the claim's freed heap back before the next claim runs.  The
         # collection finds nothing unreachable; a full one also empties the
@@ -89,19 +88,21 @@ def _single_deletions(graphs: Instance) -> Iterator[Instance]:
             yield graphs[:i] + (Graph(g.order, kept),) + graphs[i + 1 :]
 
 
-def minimize_counterexample(claim: Claim, instance: Instance) -> Instance:
+def minimize_counterexample(
+    claim: Claim, instance: Instance, failure: Failure
+) -> tuple[Instance, Failure]:
     """Greedy shrink: drop vertices, then edges, while the claim still fails.
 
-    A non-failing instance is returned unchanged.  The result is locally
-    minimal: no single vertex or edge deletion keeps it failing.
+    ``failure`` is what the claim's check reported on ``instance``, which is
+    not checked again.  Returns the shrunk instance with the failure the check
+    reported on it.  The result is locally minimal: no single vertex or edge
+    deletion keeps it failing.
     """
-    if claim.check(instance) is None:
-        return instance
     while True:
-        smaller = next(
-            (c for c in _single_deletions(instance) if claim.check(c) is not None),
-            None,
-        )
-        if smaller is None:
-            return instance
-        instance = smaller
+        for smaller in _single_deletions(instance):
+            smaller_failure = claim.check(smaller)
+            if smaller_failure is not None:
+                instance, failure = smaller, smaller_failure
+                break
+        else:
+            return instance, failure

@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -6,9 +8,12 @@ from hypothesis import given, settings
 from kronwalk import (
     Graph,
     format_edge_list,
+    kronecker_product,
+    make_complete,
     make_cycle,
     parse_edge_list,
     read_graph,
+    unlabeled_graphs,
     write_graph,
 )
 import kronwalk.edgelist as edgelist_module
@@ -134,9 +139,53 @@ def test_a_file_numbers_its_lines_as_splitlines_does(tmp_path, text, lineno):
         read_graph(path)
 
 
+def _json_file_text(g):
+    # The reference: the JSON form as one document, keys sorted, and a newline.
+    return json.dumps(graph_to_json(g), sort_keys=True) + "\n"
+
+
 def test_a_file_is_written_in_chunks_of_lines(monkeypatch, tmp_path):
     monkeypatch.setattr(edgelist_module, "_WRITE_CHUNK_LINES", 2)
     path = tmp_path / "g.edges"
     g = make_cycle(5)
     write_graph(path, g)
     assert path.read_text(encoding="utf-8") == "".join(format_edge_list(g))
+    write_graph(path, g, "json")
+    assert path.read_bytes() == _json_file_text(g).encode()
+
+
+_JSON_CASES = [
+    *unlabeled_graphs(4, allow_loops=True),
+    Graph(1),
+    Graph(1, [(0, 0)]),
+    kronecker_product(make_cycle(5), make_complete(3, with_loops=True)),
+]
+
+
+@pytest.mark.parametrize("g", _JSON_CASES)
+def test_a_json_file_holds_the_json_form_sorted_on_one_line(tmp_path, g):
+    path = tmp_path / "g.json"
+    write_graph(path, g, "json")
+    assert path.read_bytes() == _json_file_text(g).encode()
+
+
+def test_an_unknown_format_is_refused_before_the_file_is_opened(tmp_path):
+    path = tmp_path / "g.txt"
+    with pytest.raises(ValueError, match="^unknown graph format 'yaml'; known: edgelist, json$"):
+        write_graph(path, make_cycle(3), "yaml")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "json"])
+def test_a_large_file_is_written_without_its_whole_text(tmp_path, fmt):
+    # C301 x C331 has 199,262 edges; either format's whole text is several
+    # megabytes (about 24 MB traced for the JSON document built at once),
+    # while a chunk of 4,096 lines or edges is well under one.
+    g = kronecker_product(make_cycle(301), make_cycle(331))
+    tracemalloc.start()
+    try:
+        write_graph(tmp_path / "p.out", g, fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

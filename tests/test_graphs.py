@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -42,19 +43,29 @@ def test_order_must_be_positive():
     ],
 )
 def test_order_guard_refuses_before_building(monkeypatch, build):
-    # Under a small limit, and with Graph refusing any edge list, each
-    # builder must refuse the order before it lists a single edge.
+    # Under a small limit, and with Graph refusing any edge list or rows,
+    # each builder must refuse the order before it lays out a single edge.
     monkeypatch.setattr(graphs_module, "MAX_ORDER", 10)
     build(10)
+    _refuse_any_layout(monkeypatch, "built")
+    with pytest.raises(ValueError, match="exceeds the limit of 10"):
+        build(11)
+
+
+def _refuse_any_layout(monkeypatch, what):
+    # Graph(order) with no edges stays allowed: the order guard inside
+    # Graph.__init__ is the refusal some builders rely on.
     real_init = Graph.__init__
 
     def no_edges(self, order, edges=()):
-        assert edges == (), "edges were built for an oversized graph"
+        assert edges == (), f"edges were {what} for an oversized graph"
         real_init(self, order)
 
+    def no_rows(cls, rows):
+        raise AssertionError(f"rows were {what} for an oversized graph")
+
     monkeypatch.setattr(Graph, "__init__", no_edges)
-    with pytest.raises(ValueError, match="exceeds the limit of 10"):
-        build(11)
+    monkeypatch.setattr(Graph, "_from_rows", classmethod(no_rows))
 
 
 @pytest.mark.parametrize(
@@ -67,17 +78,12 @@ def test_order_guard_refuses_before_building(monkeypatch, build):
 )
 def test_edge_guard_refuses_before_building(monkeypatch, build):
     # Under a limit of build(6)'s edge count, and with Graph refusing any
-    # edge list, build(7) must refuse its edge count before listing an edge.
+    # edge list or rows, build(7) must refuse its edge count before laying
+    # out an edge.
     limit = build(6).edge_count
     monkeypatch.setattr(graphs_module, "MAX_EDGES", limit)
     build(6)
-    real_init = Graph.__init__
-
-    def no_edges(self, order, edges=()):
-        assert edges == (), "edges were listed for an oversized graph"
-        real_init(self, order)
-
-    monkeypatch.setattr(Graph, "__init__", no_edges)
+    _refuse_any_layout(monkeypatch, "listed")
     with pytest.raises(ValueError, match=f"exceeds the limit of {limit}"):
         build(7)
 
@@ -171,6 +177,51 @@ def test_multipartite():
         make_complete_multipartite([3])
     with pytest.raises(ValueError):
         make_complete_multipartite([2, 0])
+
+
+def _from_pairs(n, adjacent):
+    # The reference: every adjacent pair, as Graph.__init__ takes them.
+    return Graph(n, [(u, v) for u in range(n) for v in range(u, n) if adjacent(u, v)])
+
+
+@pytest.mark.parametrize("with_loops", [False, True])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_built_complete_graph_matches_its_pairs(n, with_loops):
+    g = make_complete(n, with_loops=with_loops)
+    check_rows(g)
+    assert g == _from_pairs(n, lambda u, v: with_loops or u != v)
+
+
+@pytest.mark.parametrize(
+    "sizes", [[1, 1], [1, 4], [4, 1], [2, 3, 1], [3, 3], [1, 2, 3, 4], [5, 1, 1, 2]]
+)
+def test_row_built_multipartite_graph_matches_its_pairs(sizes):
+    part = [index for index, size in enumerate(sizes) for _ in range(size)]
+    g = make_complete_multipartite(sizes)
+    check_rows(g)
+    assert g == _from_pairs(len(part), lambda u, v: part[u] != part[v])
+
+
+@pytest.mark.parametrize(
+    "build, limit_mb",
+    [
+        (lambda: make_complete(1000), 16),
+        (lambda: make_complete(1000, with_loops=True), 1),
+        (lambda: make_complete_multipartite([500, 500]), 1),
+    ],
+    ids=["complete", "complete+", "multipartite"],
+)
+def test_dense_families_build_no_edge_list(build, limit_mb):
+    # Rows are laid out directly: K1000's 1000 rows of 999 share their ints,
+    # and rows that are equal are one tuple.  Listing the 499,500 pairs for
+    # Graph.__init__ peaked at about 88 MB.
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
 
 
 def test_family_shapes():
