@@ -109,13 +109,13 @@ def parse_graph_spec(spec: str, check: Callable[[int], None] | None = None) -> G
 
 def _int_args(spec: str, rest: str, arity: int | None) -> list[int]:
     parts = rest.split(",") if rest else []
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"{spec}: parameters must be integers") from None
-    if arity is not None and len(values) != arity:
+    # An optional minus sign, then ASCII digits: int() alone would also read
+    # '+5', ' 5', '5_0' and digits of other scripts.
+    if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+        raise ValueError(f"{spec}: parameters must be integers")
+    if arity is not None and len(parts) != arity:
         raise ValueError(f"{spec}: expected {arity} parameter(s)")
-    return values
+    return list(map(int, parts))
 
 
 def _emit(document: dict) -> None:

@@ -96,13 +96,18 @@ def minimize_counterexample(
     ``failure`` is what the claim's check reported on ``instance``, which is
     not checked again.  Returns the shrunk instance with the failure the check
     reported on it.  The result is locally minimal: no single vertex or edge
-    deletion keeps it failing.
+    deletion keeps it failing.  Checks are pure, so a candidate found passing
+    in one round is skipped in the later ones: each is checked once.
     """
+    passed = set()
     while True:
         for smaller in _single_deletions(instance):
+            if smaller in passed:
+                continue
             smaller_failure = claim.check(smaller)
             if smaller_failure is not None:
                 instance, failure = smaller, smaller_failure
                 break
+            passed.add(smaller)
         else:
             return instance, failure

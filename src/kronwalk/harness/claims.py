@@ -261,8 +261,24 @@ def _random_pair(rng: random.Random) -> Instance:
     return (random_connected(rng, RANDOM_ORDER), random_connected(rng, RANDOM_ORDER))
 
 
-def _pair_instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instance]:
-    return _stream(_square(_pair_pool(spec)), spec, lambda: _random_pair(rng))
+def _pair_instances(
+    spec: EnsembleSpec, rng: random.Random, pool: Iterable[Graph] | None = None
+) -> Iterator[Instance]:
+    """Every ordered pair of ``pool``, the pair pool by default, then random pairs."""
+    head = _square(_pair_pool(spec) if pool is None else pool)
+    return _stream(head, spec, lambda: _random_pair(rng))
+
+
+def _first_factor_instances(
+    firsts: list[Graph], spec: EnsembleSpec, rng: random.Random
+) -> Iterator[Instance]:
+    """Each of ``firsts`` times each graph of the pair pool, then random draws
+    of one of ``firsts`` times a random connected graph."""
+    return _stream(
+        itertools.product(firsts, _pair_pool(spec)),
+        spec,
+        lambda: (rng.choice(firsts), random_connected(rng, RANDOM_ORDER)),
+    )
 
 
 def _single_instances(
@@ -531,14 +547,12 @@ def _check_sandwich_bounds(instance: Instance) -> Failure | None:
 @_closed_form_claim(
     "Thm3.3",
     "product diameter equals the three-case exponent formula",
-    lambda spec, rng: _stream(
-        _square(
-            connected_graphs(
-                min(4, spec.exhaustive_loopless_order), allow_loops=False, min_order=2
-            )
-        ),
+    lambda spec, rng: _pair_instances(
         spec,
-        lambda: _random_pair(rng),
+        rng,
+        connected_graphs(
+            min(4, spec.exhaustive_loopless_order), allow_loops=False, min_order=2
+        ),
     ),
     _product_diameter,
 )
@@ -560,15 +574,8 @@ def _both_k_plus(g1: Graph, g2: Graph) -> bool:
 @_closed_form_claim(
     "Thm3.5",
     "a complete-all-loops factor gives diameter d(G), or 2 when d(G) = 1",
-    lambda spec, rng: _stream(
-        itertools.product(
-            [make_complete(m, with_loops=True) for m in (2, 3, 4)], _pair_pool(spec)
-        ),
-        spec,
-        lambda: (
-            make_complete(rng.randint(2, 4), with_loops=True),
-            random_connected(rng, RANDOM_ORDER),
-        ),
+    lambda spec, rng: _first_factor_instances(
+        [make_complete(m, with_loops=True) for m in (2, 3, 4)], spec, rng
     ),
     _product_diameter,
 )
@@ -591,15 +598,8 @@ _PART_LISTS = (
     "ThmMultipartite",
     "a complete multipartite factor on three or more parts follows the "
     "small-diameter closed form",
-    lambda spec, rng: _stream(
-        itertools.product(
-            map(make_complete_multipartite, _PART_LISTS), _pair_pool(spec)
-        ),
-        spec,
-        lambda: (
-            make_complete_multipartite(rng.choice(_PART_LISTS)),
-            random_connected(rng, RANDOM_ORDER),
-        ),
+    lambda spec, rng: _first_factor_instances(
+        list(map(make_complete_multipartite, _PART_LISTS)), spec, rng
     ),
     _product_diameter,
 )

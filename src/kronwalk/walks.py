@@ -63,23 +63,31 @@ Level = list[int]
 
 
 class ParityProfile(NamedTuple):
-    """Whole-graph facts read off one parity scan.
+    """The six whole-graph facts one parity scan measures.
 
-    ``bipartite`` holds iff no vertex has an odd closed walk.  The odd and
-    even spans (``odd_diameter``, ``even_diameter``) are infinite when some
-    pair has no walk of that parity.  ``witness_pair`` is the first pair in
-    row-major order whose local exponent equals ``exponent`` (None when the
-    exponent is infinite).
+    The odd and even spans (``odd_diameter``, ``even_diameter``) are
+    infinite when some pair has no walk of that parity.  ``witness_pair`` is
+    the first pair in row-major order whose local exponent equals
+    ``exponent`` (None when the exponent is infinite).  Everything else is
+    read off these: connectivity off the diameter, bipartiteness off the odd
+    girth, and the exponent off the spans.
     """
 
     order: int
-    connected: bool
-    bipartite: bool
     odd_girth: ExtLen
     diameter: ExtLen
     odd_diameter: ExtLen
     even_diameter: ExtLen
     witness_pair: tuple[int, int] | None
+
+    @property
+    def connected(self) -> bool:
+        return self.diameter != INF
+
+    @property
+    def bipartite(self) -> bool:
+        # No vertex has an odd closed walk.
+        return self.odd_girth == INF
 
     @property
     def exponent(self) -> ExtLen:
@@ -163,11 +171,12 @@ def _levels(g: Graph) -> Iterator[Level]:
 
 
 def summarize(g: Graph) -> ParityProfile:
-    """Connectivity, bipartiteness, odd girth, diameter and both spans at once.
+    """Odd girth, diameter, both spans and the witness pair at once.
 
     Everything the predictors and the product's diameter need to know about
-    one factor.  One scan of the levels, read as they stream; no n x n table
-    is built.
+    one factor; connectivity and bipartiteness are read off the diameter and
+    the odd girth.  One scan of the levels, read as they stream; no n x n
+    table is built.
     """
     check_table_order(g.order)
     levels = _levels(g)
@@ -204,8 +213,6 @@ def summarize(g: Graph) -> ParityProfile:
         witness = (units[r].bit_length() - 1, (fresh & -fresh).bit_length() - 1)
     return ParityProfile(
         order=n,
-        connected=diam != INF,
-        bipartite=girth == INF,
         odd_girth=girth,
         diameter=diam,
         odd_diameter=spans[1],

@@ -121,6 +121,23 @@ def test_metrics_bad_multipartite_spec(capsys, spec, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "spec", ["cycle:5_0", "cycle:+5", "cycle: 5", "cycle:\u0663", "cycle:-", "H:9,-"]
+)
+def test_family_parameters_are_ascii_integers(capsys, spec):
+    # A parameter is an optional minus sign and ASCII digits, nothing else:
+    # int() would read the first four as 50, 5, 5 and 3.
+    code, out, err = run_cli(capsys, "metrics", spec)
+    assert code == 1 and out == ""
+    assert err == f"error: {spec}: parameters must be integers\n"
+
+
+def test_family_parameter_may_be_negative_for_the_builder_to_refuse(capsys):
+    code, out, err = run_cli(capsys, "metrics", "cycle:-5")
+    assert code == 1 and out == ""
+    assert err == "error: cycle:-5: cycle needs at least three vertices\n"
+
+
 def test_product_writes_file_and_matches(tmp_path, capsys):
     out_path = tmp_path / "product.edges"
     code, out, _ = run_cli(
@@ -726,6 +743,28 @@ def test_module_entry_freezes_the_heap_and_exits_with_mains_code(
         assert json.loads(result.stdout)["odd_girth"] == 5 and lines == []
     else:
         assert result.stdout == "" and lines == [message]
+
+
+_HARNESS_FIRST = """
+import types
+import kronwalk.harness.claims as claims
+import kronwalk.cli as cli
+assert cli.claims is claims and type(cli.claims) is types.ModuleType
+assert cli.claims.REGISTRY is claims.REGISTRY and len(claims.REGISTRY) == 20
+print("ok")
+"""
+
+
+def test_cli_takes_a_harness_module_imported_before_it_as_it_is(tmp_path):
+    # A fresh process, so the harness is imported before kronwalk.cli: the
+    # CLI binds that module, not a second, lazily loaded copy of it.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", _HARNESS_FIRST],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
 
 
 def test_main_leaves_the_collector_unfrozen(capsys):

@@ -101,13 +101,14 @@ def test_bound_rejects_cap_below_one(cap):
 
 def test_bound_reads_the_callers_profile():
     # The profile alone says whether the graph is connected and bipartite:
-    # a profile that calls C5 disconnected is refused, and one that calls it
-    # bipartite gets the bipartite answer with no cycle scored.
+    # a profile that gives C5 an infinite diameter is refused, and one that
+    # gives it an infinite odd girth gets the bipartite answer with no cycle
+    # scored.
     c5 = make_cycle(5)
     s = summarize(c5)
     with pytest.raises(ValueError, match="connected"):
-        l_o_bound(c5, s._replace(connected=False))
-    report = l_o_bound(c5, s._replace(bipartite=True))
+        l_o_bound(c5, s._replace(diameter=INF))
+    report = l_o_bound(c5, s._replace(odd_girth=INF))
     assert tuple(report) == (INF, None, True, 0)
 
 

@@ -63,6 +63,8 @@ def test_header_required():
         parse_edge_list("# nothing\n")
     with pytest.raises(ValueError):
         parse_edge_list("n 0\n")
+    with pytest.raises(ValueError, match="line 1: order is not an integer"):
+        parse_edge_list("n five\n")
 
 
 def test_bad_lines():

@@ -111,6 +111,9 @@ def test_graphs_are_value_objects():
     assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
     assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
     assert hash(Graph(3, [(0, 1)])) == hash(Graph(3, [(0, 1)]))
+    # Against any other value, equality is left to that value.
+    assert Graph(1).__eq__(1) is NotImplemented
+    assert Graph(1) != 1
 
 
 def test_remove_vertex_relabels():
@@ -235,10 +238,14 @@ def test_family_shapes():
     assert make_f_family(4, 3).order == 4
     bigger = make_f_family(8, 5)
     assert bigger.order == 8 and is_connected(bigger)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceed the clique size"):
         make_h_family(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="clique part needs at least one vertex"):
+        make_h_family(3, 0)
+    with pytest.raises(ValueError, match="cycle part needs at least three"):
         make_f_family(6, 2)
+    with pytest.raises(ValueError, match="exceed the cycle size"):
+        make_f_family(5, 5)
 
 
 @given(graphs(max_order=6))
@@ -261,6 +268,8 @@ def test_random_graph_extremes():
         random_graph(5, 1.5, 0, 3)
     with pytest.raises(ValueError):
         random_graph(5, 0, -0.1, 3)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        random_graph(0, 0.5, 0.5, 3)
 
 
 def test_random_graph_refuses_an_edge_count_above_the_limit(monkeypatch):

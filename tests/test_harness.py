@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
+import json
 import random
 import re
 import tracemalloc
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from kronwalk import (
+    INF,
     Bounds,
     Graph,
     diameter,
@@ -180,7 +183,7 @@ def _negated(real):
 def _flipped_bipartite(real):
     def wrong(g):
         s = real(g)
-        return s._replace(bipartite=not s.bipartite)
+        return s._replace(odd_girth=3 if s.bipartite else INF)
 
     return wrong
 
@@ -282,6 +285,91 @@ def test_walk_lemma_claims_catch_a_broken_scan(monkeypatch, claim_id, mutate):
     mutate(monkeypatch)
     (outcome,) = run_campaign([claim_id], SMALL, seed=0)
     assert outcome.counterexample is not None
+
+
+def _one_way_walks(monkeypatch):
+    # Both walk routes see only the edges u -> v with u < v, so the levels
+    # still equal the powers, but no walk retraces its last edge.
+    real = claims.adjacency
+
+    def one_way(g):
+        return tuple(row >> u + 1 << u + 1 for u, row in enumerate(real(g)))
+
+    def levels(g):
+        powers = itertools.islice(claims.bool_powers(one_way(g)), 2 * g.order + 2)
+        return [tuple(1 << u for u in range(g.order)), *powers]
+
+    monkeypatch.setattr(claims, "adjacency", one_way)
+    monkeypatch.setattr(claims, "walk_levels", levels)
+
+
+def _cycle_bound_one_lower(monkeypatch):
+    real = claims.l_o_bound
+
+    def wrong(g, s):
+        report = real(g, s)
+        return report._replace(l_o=report.l_o - 1)
+
+    monkeypatch.setattr(claims, "l_o_bound", wrong)
+
+
+def _profile(**shift):
+    def mutate(monkeypatch):
+        real = claims.summarize
+
+        def wrong(g):
+            s = real(g)
+            return s._replace(**{name: getattr(s, name) + k for name, k in shift.items()})
+
+        monkeypatch.setattr(claims, "summarize", wrong)
+
+    return mutate
+
+
+def _never_isomorphic(monkeypatch):
+    monkeypatch.setattr(claims, "are_isomorphic", lambda g, h: False)
+
+
+def _upper_bound_one_higher(monkeypatch):
+    real = claims.diameter_bounds
+
+    def wrong(s1, s2):
+        b = real(s1, s2)
+        return b._replace(upper=b.upper + 1)
+
+    monkeypatch.setattr(claims, "diameter_bounds", wrong)
+
+
+@pytest.mark.parametrize(
+    "claim_id, mutate, detail",
+    [
+        ("Lem2.2", _one_way_walks, "a walk of length 1 has no extension by two"),
+        ("Thm3.1", _cycle_bound_one_lower, "exponent exceeds the cycle bound"),
+        ("Cor2.10", _profile(diameter=-1), "exponent exceeds twice the diameter"),
+        ("Cor3.1", _profile(odd_girth=2), "exponent exceeds 2n - p - 1"),
+        ("Cor3.1", _never_isomorphic, "equality attained off the extremal family"),
+        (
+            "Thm3.2",
+            _upper_bound_one_higher,
+            "upper bound not attained with a bipartite factor",
+        ),
+    ],
+    ids=[
+        "Lem2.2-one-way-walks",
+        "Thm3.1-cycle-bound-one-lower",
+        "Cor2.10-diameter-one-lower",
+        "Cor3.1-odd-girth-two-higher",
+        "Cor3.1-never-isomorphic",
+        "Thm3.2-upper-bound-one-higher",
+    ],
+)
+def test_hand_written_claims_fail_on_a_broken_route(monkeypatch, claim_id, mutate, detail):
+    # Each failure branch of the checks that do not go through
+    # `_closed_form_claim`, reached through the route it guards.
+    mutate(monkeypatch)
+    (outcome,) = run_campaign([claim_id], SMALL, seed=0)
+    assert outcome.counterexample is not None
+    assert outcome.failure.detail == detail
 
 
 def test_diameter_one_claim_reads_the_profiles_k_plus_test(monkeypatch):
@@ -433,10 +521,47 @@ def test_failing_campaign_records_the_shrunk_counterexample_and_its_failure(
     assert outcome.counterexample == (Graph(5),)
     assert outcome.failure == Failure("< 5 vertices", 5, "too big")
     # The stream's failure goes to the minimizer, and the minimizer's into the
-    # record, so neither C7 nor the shrunk graph is checked a second time.
-    # (The greedy shrink may meet other instances in more than one round.)
+    # record, and a candidate found passing is not offered again in a later
+    # round, so no instance is checked twice.
     assert checked.count((make_cycle(7),)) == 1
     assert checked.count((Graph(5),)) == 1
+    assert max(Counter(checked).values()) == 1
+
+
+STREAM_DIGESTS = Path(__file__).parent / "data" / "claim_streams_exhaustive3_random20_seed0.json"
+
+
+def _stream_digests(spec, seed):
+    """One SHA-256 per claim over every instance its stream yields, in order.
+
+    Each claim's check is swapped for one that records the instance and
+    passes, so ``run_campaign`` seeds and walks every stream to its end.
+    """
+    digests = {}
+
+    def recorder(claim_id):
+        digest = digests[claim_id] = hashlib.sha256()
+
+        def check(instance):
+            graphs = [(g.order, list(g.edges())) for g in instance]
+            digest.update(repr(graphs).encode() + b"\n")
+
+        return check
+
+    with pytest.MonkeyPatch.context() as patch:
+        for claim_id, claim in REGISTRY.items():
+            recording = dataclasses.replace(claim, check=recorder(claim_id))
+            patch.setitem(REGISTRY, claim_id, recording)
+        run_campaign(list(CLAIM_IDS), spec, seed)
+    return {claim_id: digest.hexdigest() for claim_id, digest in digests.items()}
+
+
+def test_every_claims_stream_is_pinned_bit_for_bit():
+    # The golden report pins only each stream's length; this pins every graph
+    # of every instance.  A change that redraws a stream on purpose rewrites
+    # the file with `_stream_digests(SMALL, 0)`.
+    expected = json.loads(STREAM_DIGESTS.read_text(encoding="utf-8"))
+    assert _stream_digests(SMALL, 0) == expected
 
 
 def test_are_isomorphic():
