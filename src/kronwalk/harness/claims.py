@@ -272,8 +272,7 @@ def _pair_instances(
 def _first_factor_instances(
     firsts: list[Graph], spec: EnsembleSpec, rng: random.Random
 ) -> Iterator[Instance]:
-    """Each of ``firsts`` times each graph of the pair pool, then random draws
-    of one of ``firsts`` times a random connected graph."""
+    """Each of ``firsts`` times the pair pool, then one of them times a random graph."""
     return _stream(
         itertools.product(firsts, _pair_pool(spec)),
         spec,

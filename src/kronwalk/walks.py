@@ -86,7 +86,6 @@ class ParityProfile(NamedTuple):
 
     @property
     def bipartite(self) -> bool:
-        # No vertex has an odd closed walk.
         return self.odd_girth == INF
 
     @property
@@ -174,9 +173,8 @@ def summarize(g: Graph) -> ParityProfile:
     """Odd girth, diameter, both spans and the witness pair at once.
 
     Everything the predictors and the product's diameter need to know about
-    one factor; connectivity and bipartiteness are read off the diameter and
-    the odd girth.  One scan of the levels, read as they stream; no n x n
-    table is built.
+    one factor.  One scan of the levels, read as they stream; no n x n table
+    is built.
     """
     check_table_order(g.order)
     levels = _levels(g)

@@ -122,20 +122,24 @@ def test_metrics_bad_multipartite_spec(capsys, spec, message):
 
 
 @pytest.mark.parametrize(
-    "spec", ["cycle:5_0", "cycle:+5", "cycle: 5", "cycle:\u0663", "cycle:-", "H:9,-"]
+    "spec, message",
+    [
+        # int() would read the first four as 50, 5, 5 and 3.
+        ("cycle:5_0", "parameters must be integers"),
+        ("cycle:+5", "parameters must be integers"),
+        ("cycle: 5", "parameters must be integers"),
+        ("cycle:\u0663", "parameters must be integers"),
+        ("cycle:-", "parameters must be integers"),
+        ("H:9,-", "parameters must be integers"),
+        # A minus sign is read, and the family refuses the value.
+        ("cycle:-5", "cycle needs at least three vertices"),
+    ],
 )
-def test_family_parameters_are_ascii_integers(capsys, spec):
-    # A parameter is an optional minus sign and ASCII digits, nothing else:
-    # int() would read the first four as 50, 5, 5 and 3.
+def test_family_parameters_are_ascii_integers(capsys, spec, message):
+    # A parameter is an optional minus sign and ASCII digits, nothing else.
     code, out, err = run_cli(capsys, "metrics", spec)
     assert code == 1 and out == ""
-    assert err == f"error: {spec}: parameters must be integers\n"
-
-
-def test_family_parameter_may_be_negative_for_the_builder_to_refuse(capsys):
-    code, out, err = run_cli(capsys, "metrics", "cycle:-5")
-    assert code == 1 and out == ""
-    assert err == "error: cycle:-5: cycle needs at least three vertices\n"
+    assert err == f"error: {spec}: {message}\n"
 
 
 def test_product_writes_file_and_matches(tmp_path, capsys):

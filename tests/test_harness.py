@@ -319,7 +319,8 @@ def _profile(**shift):
 
         def wrong(g):
             s = real(g)
-            return s._replace(**{name: getattr(s, name) + k for name, k in shift.items()})
+            shifted = {name: getattr(s, name) + k for name, k in shift.items()}
+            return s._replace(**shifted)
 
         monkeypatch.setattr(claims, "summarize", wrong)
 
@@ -363,7 +364,9 @@ def _upper_bound_one_higher(monkeypatch):
         "Thm3.2-upper-bound-one-higher",
     ],
 )
-def test_hand_written_claims_fail_on_a_broken_route(monkeypatch, claim_id, mutate, detail):
+def test_hand_written_claims_fail_on_a_broken_route(
+    monkeypatch, claim_id, mutate, detail
+):
     # Each failure branch of the checks that do not go through
     # `_closed_form_claim`, reached through the route it guards.
     mutate(monkeypatch)
@@ -528,7 +531,9 @@ def test_failing_campaign_records_the_shrunk_counterexample_and_its_failure(
     assert max(Counter(checked).values()) == 1
 
 
-STREAM_DIGESTS = Path(__file__).parent / "data" / "claim_streams_exhaustive3_random20_seed0.json"
+STREAM_DIGESTS = (
+    Path(__file__).parent / "data" / "claim_streams_exhaustive3_random20_seed0.json"
+)
 
 
 def _stream_digests(spec, seed):
@@ -550,7 +555,8 @@ def _stream_digests(spec, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         for claim_id, claim in REGISTRY.items():
-            recording = dataclasses.replace(claim, check=recorder(claim_id))
+            check = recorder(claim_id)
+            recording = Claim(claim_id, claim.description, claim.instances, check)
             patch.setitem(REGISTRY, claim_id, recording)
         run_campaign(list(CLAIM_IDS), spec, seed)
     return {claim_id: digest.hexdigest() for claim_id, digest in digests.items()}
