@@ -791,3 +791,18 @@ def test_console_script_runs_the_module_entry():
         if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
     ]
     assert [ast.unparse(stmt) for stmt in block.body] == [f"{function}()"]
+
+
+def test_every_corpus_command_line_gives_its_recorded_output(monkeypatch, tmp_path):
+    # tests/cli_corpus.py lists the ops and writes the corpus; an entry that
+    # differs here is a change in what the CLI prints, exit codes and error
+    # messages included, and is recorded only by rerunning that script.
+    import cli_corpus
+
+    monkeypatch.chdir(tmp_path)
+    recorded = json.loads(cli_corpus.CORPUS.read_text(encoding="utf-8"))
+    corpus = cli_corpus.run_corpus()
+    assert len(corpus) == len(cli_corpus.OPS)
+    assert corpus.keys() == recorded.keys()
+    changed = [op for op in corpus if corpus[op] != recorded[op]]
+    assert {op: corpus[op] for op in changed} == {op: recorded[op] for op in changed}
