@@ -12,11 +12,18 @@ file.
 
 Graphs are given either as an edge-list file path or as a family
 expression: ``path:n``, ``cycle:n``, ``complete:n``, ``complete+:n``,
-``multipartite:a,b,c``, ``H:n,p``, ``F:n,p``.
+``multipartite:a,b,c``, ``H:n,p``, ``F:n,p``, and ``random:n`` for
+``generate``.  ``parse_graph_spec`` reads both forms, names the spec in
+every refusal, and applies a command's order check to either.  Every
+integer taken in, a family parameter, a file's order or endpoint, or an
+integer flag, is read by ``edgelist._int``: an optional ``-`` and ASCII
+digits.
 
 All stdout output is a single JSON document (infinite values appear as the
 string "inf"); progress and diagnostics go to stderr.  Exit codes: 0 ok,
-1 usage or input error, 2 verification mismatch.
+1 usage or input error, 2 verification mismatch.  ``generate`` writes its
+document to stdout in chunks as it is encoded; every other command prints
+it whole.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from types import ModuleType
 from typing import NoReturn, Sequence
 
 from .cycles import DEFAULT_CYCLE_CAP, l_o_bound
-from .edgelist import graph_to_json, read_graph, write_graph
+from .edgelist import _int, _write, graph_to_json, read_graph, write_graph
 from .extlen import to_json
 from .graphs import (
     ENUM_CAP_LOOPED,
@@ -88,38 +95,42 @@ _FAMILIES = {
 def parse_graph_spec(spec: str, check: Callable[[int], None] | None = None) -> Graph:
     """Family expression or edge-list file path.
 
-    ``check``, if given, may refuse a file's order at its header, before any
-    edge line is parsed.
+    ``check``, if given, may refuse the graph's order: a file's at its header,
+    before any edge line is parsed, and a family graph's once it is built.
     """
+    return _graph(spec, _FAMILIES, check)
+
+
+def _graph(spec: str, families: dict, check: Callable[[int], None] | None) -> Graph:
+    # Every refusal of a spec, by a parameter, a builder, a file or the check,
+    # gets the spec's prefix here alone.
     head, sep, rest = spec.partition(":")
-    if sep and head in _FAMILIES:
-        builder, arity = _FAMILIES[head]
-        args = _int_args(spec, rest, arity)
-        try:
-            return builder(*args)
-        except ValueError as exc:
-            raise ValueError(f"{spec}: {exc}") from None
     try:
-        return read_graph(spec, check)
+        if not (sep and head in families):
+            return read_graph(spec, check)
+        builder, arity = families[head]
+        try:
+            args = [_int(p) for p in rest.split(",")] if rest else []
+        except ValueError:
+            raise ValueError("parameters must be integers") from None
+        if arity is not None and len(args) != arity:
+            raise ValueError(f"expected {arity} parameter(s)")
+        g = builder(*args)
+        if check is not None:
+            check(g.order)
+        return g
     except OSError as exc:
         raise ValueError(f"cannot read graph file {spec!r}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{spec}: {exc}") from None
 
 
-def _int_args(spec: str, rest: str, arity: int | None) -> list[int]:
-    parts = rest.split(",") if rest else []
-    # An optional minus sign, then ASCII digits: int() alone would also read
-    # '+5', ' 5', '5_0' and digits of other scripts.
-    if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
-        raise ValueError(f"{spec}: parameters must be integers")
-    if arity is not None and len(parts) != arity:
-        raise ValueError(f"{spec}: expected {arity} parameter(s)")
-    return list(map(int, parts))
+# The one form of every stdout document.
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
 
 
 def _emit(document: dict) -> None:
-    print(json.dumps(document, sort_keys=True, indent=2, allow_nan=False))
+    print(_JSON.encode(document))
 
 
 def _progress(message: str) -> None:
@@ -171,12 +182,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_product(args: argparse.Namespace) -> int:
     g1 = parse_graph_spec(args.graph1, check_table_order)
     g2 = parse_graph_spec(args.graph2, check_table_order)
-    # Build first, so an oversized product fails before any other work, and
-    # write after the profiles, so a factor they refuse leaves no file behind.
-    product = kronecker_product(g1, g2) if args.out else None
+    # Both factors passed the table limit as they were read, so the profiles
+    # refuse neither: the product is written, and freed, before they run.
+    if args.out:
+        write_graph(args.out, kronecker_product(g1, g2), args.format)
     s1, s2 = summarize(g1), summarize(g2)
-    if product is not None:
-        write_graph(args.out, product, args.format)
     prediction = predict_diameter(s1, s2)
     measured = product_diameter(s1, s2)
     document = {
@@ -274,19 +284,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
     for flag, prob in probs.items():
         if not 0 <= prob <= 1:
             raise ValueError(f"{flag} must lie in [0, 1], got {prob}")
-    if args.spec.startswith("random:"):
-        params = _int_args(args.spec, args.spec.partition(":")[2], 1)
-        try:
-            g = random_graph(params[0], args.edge_prob, args.loop_prob, args.seed)
-        except ValueError as exc:
-            raise ValueError(f"{args.spec}: {exc}") from None
-    else:
-        g = parse_graph_spec(args.spec)
+    # random:n is a family of this command alone, drawn with its flags.
+    draw = lambda n: random_graph(n, args.edge_prob, args.loop_prob, args.seed)
+    g = _graph(args.spec, {**_FAMILIES, "random": (draw, 1)}, None)
     if args.out:
         write_graph(args.out, g, args.format)
         _emit({"order": g.order, "edges": g.edge_count, "out": args.out})
     else:
-        _emit({**graph_to_json(g), "out": None})
+        # Written in chunks as it is encoded, not built whole first: the
+        # document holds only ints, pairs of ints and a null, so encoding
+        # cannot fail part-way.
+        _write(sys.stdout.write, _JSON.iterencode({**graph_to_json(g), "out": None}))
+        print()
     return 0
 
 
@@ -305,7 +314,7 @@ def _build_parser() -> _Parser:
     metrics = sub.add_parser("metrics", help="walk metrics of one graph")
     metrics.add_argument("graph", help="edge-list file or family expression")
     metrics.add_argument(
-        "--cap-cycles", type=int, default=DEFAULT_CYCLE_CAP,
+        "--cap-cycles", type=_int, default=DEFAULT_CYCLE_CAP,
         help="most odd cycles the cycle bound considers; the search between "
              "them is not capped, and on graphs such as grids it can be long",
     )
@@ -325,11 +334,11 @@ def _build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="run claim checkers")
     verify.add_argument("--claims", default="all", help="comma-separated ids or 'all'")
-    verify.add_argument("--exhaustive", type=int, default=4, metavar="N",
+    verify.add_argument("--exhaustive", type=_int, default=4, metavar="N",
                         help=f"exhaustive cap with loops, 1 to {ENUM_CAP_LOOPED} "
                         "(loopless cap is N+1)")
-    verify.add_argument("--random", type=int, default=500, metavar="COUNT")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--random", type=_int, default=500, metavar="COUNT")
+    verify.add_argument("--seed", type=_int, default=0)
     verify.set_defaults(func=cmd_verify)
 
     generate = sub.add_parser("generate", help="construct a graph and write it out")
@@ -338,7 +347,7 @@ def _build_parser() -> _Parser:
     generate.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
     generate.add_argument("--edge-prob", type=float, default=0.5)
     generate.add_argument("--loop-prob", type=float, default=0.0)
-    generate.add_argument("--seed", type=int, default=0)
+    generate.add_argument("--seed", type=_int, default=0)
     generate.set_defaults(func=cmd_generate)
 
     return parser

@@ -7,8 +7,10 @@ read.  A file is refused at its first edge past ``MAX_EDGES``, and no line
 after it is read.  Every following non-empty line that does not start with
 ``#`` is ``u v`` with 0-based vertex indices; ``u u`` denotes a loop.  Each
 undirected edge must appear exactly once, so a repeated edge (in either
-orientation) is an error.  Lines are numbered as ``str.splitlines`` splits
-the text, so a form feed or a U+2028 inside a file line starts a new one.
+orientation) is an error.  The order and each endpoint are an optional ``-``
+and ASCII digits, the one integer form the CLI takes in anywhere.  Lines are
+numbered as ``str.splitlines`` splits the text, so a form feed or a U+2028
+inside a file line starts a new one.
 
 A file may also be written in JSON form, ``{"edges": [[u, v], ...],
 "order": n}`` on one line with its keys sorted, the edges in ``g.edges()``
@@ -18,7 +20,8 @@ newline, which ``--format json`` asks for.  Only the edge list is read back.
 Neither direction holds a file's whole text: :func:`read_graph` keeps only
 the set of edges read so far, from which the ``Graph`` is built, and
 :func:`write_graph` writes the pieces that :func:`format_edge_list` or
-:func:`format_json` yields in chunks, whichever format it is given.
+:func:`format_json` yields in chunks, whichever format it is given, as
+``generate`` writes its stdout document.
 :func:`graph_to_json` gives the JSON form as a dict, which ``generate``
 prints and counterexamples carry.
 """
@@ -56,6 +59,19 @@ def format_json(g: Graph) -> Iterator[str]:
 _FORMATS = {"edgelist": format_edge_list, "json": format_json}
 
 
+def _int(text: str) -> int:
+    """``text`` read as an optional minus sign and ASCII digits, nothing else:
+    ``int`` alone would also read '+5', ' 5', '5_0' and digits of other
+    scripts.  Every integer the CLI takes in is read by this."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+# argparse names a flag's type by this in its usage errors.
+_int.__name__ = "int"
+
+
 def parse_edge_list(
     lines: str | Iterable[str], check: Callable[[int], None] | None = None
 ) -> Graph:
@@ -73,15 +89,14 @@ def parse_edge_list(
     seen: set[tuple[int, int]] = set()
     split = chain.from_iterable(map(str.splitlines, lines))
     for lineno, raw in enumerate(split, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
         if order is None:
-            parts = line.split()
             if len(parts) != 2 or parts[0] != "n":
                 raise ValueError(f"line {lineno}: expected header 'n <order>'")
             try:
-                order = int(parts[1])
+                order = _int(parts[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: order is not an integer") from None
             if order < 1:
@@ -90,11 +105,10 @@ def parse_edge_list(
             if check is not None:
                 check(order)
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: endpoints are not integers") from None
         if not (0 <= u < order and 0 <= v < order):
@@ -123,10 +137,15 @@ def write_graph(path: str | os.PathLike[str], g: Graph, fmt: str = "edgelist") -
     form; any other ``fmt`` is refused before the file is opened."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown graph format {fmt!r}; known: {', '.join(_FORMATS)}")
-    pieces = _FORMATS[fmt](g)
     with open(path, "w", encoding="utf-8") as handle:
-        while chunk := "".join(islice(pieces, _WRITE_CHUNK_LINES)):
-            handle.write(chunk)
+        _write(handle.write, _FORMATS[fmt](g))
+
+
+def _write(write: Callable[[str], object], pieces: Iterator[str]) -> None:
+    """Pass ``pieces`` to ``write`` joined ``_WRITE_CHUNK_LINES`` at a time, so
+    no write holds a whole document and no piece is a write of its own."""
+    while chunk := "".join(islice(pieces, _WRITE_CHUNK_LINES)):
+        write(chunk)
 
 
 def graph_to_json(g: Graph) -> dict:

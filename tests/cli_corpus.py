@@ -2,9 +2,10 @@
 list of command lines.
 
 Run ``python tests/cli_corpus.py`` from the repository root to rewrite
-``tests/data/cli_corpus.json``; ``tests/test_cli_corpus.py`` replays every op
-in process and compares.  The corpus is changed only by rerunning this script,
-and each change to an entry is a change in what the CLI prints.
+``tests/data/cli_corpus.json``, which
+``tests/test_cli.py::test_every_corpus_command_line_gives_its_recorded_output``
+replays in process.  The corpus is changed only by rerunning this script, and
+each change to an entry is a change in what the CLI prints.
 
 Each op is run in a directory that holds the input files of ``FILES`` and
 nothing else, so paths in the command lines and in the messages are relative.
@@ -53,7 +54,7 @@ FILES = {
     # Integer forms in a file: an optional minus sign and ASCII digits.
     "order_underscore.edges": b"n 5_0\n",
     "order_plus.edges": b"n +3\n0 1\n",
-    "order_space_plus.edges": "n +3\n0 ١\n".encode(),
+    "order_space_plus.edges": "n +3\n0 ١\n".encode(),  # both forms at once
     "order_arabic.edges": "n ٣\n0 1\n".encode(),
     "order_dash.edges": b"n -\n",
     "order_minus.edges": b"n -3\n",

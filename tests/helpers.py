@@ -13,12 +13,11 @@ neighbour rows that ``Graph._from_rows`` takes on trust.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterator
 
 from hypothesis import strategies as st
 
-from kronwalk import INF, Graph, is_connected, random_graph
+from kronwalk import INF, Graph
 
 ACCEPT_SEED = 7
 
@@ -198,18 +197,3 @@ def graphs(draw, min_order: int = 1, max_order: int = 6, loops: bool = True) -> 
             index += 1
     edges.extend((v, v) for v in range(n) if loop_mask >> v & 1)
     return Graph(n, edges)
-
-
-def random_connected_graph(
-    rng: random.Random, min_order: int = 2, max_order: int = 6, loops: bool = True
-) -> Graph:
-    while True:
-        n = rng.randint(min_order, max_order)
-        g = random_graph(
-            n,
-            rng.uniform(0.3, 0.9),
-            rng.uniform(0.0, 0.6) if loops else 0.0,
-            seed=rng.randrange(2**60),
-        )
-        if is_connected(g):
-            return g

@@ -32,13 +32,13 @@ from kronwalk import (
     summarize,
 )
 from kronwalk.boolmat import bool_powers
+from kronwalk.harness.ensembles import random_connected
 
 from helpers import (
     ACCEPT_SEED,
     dp_parity_minima,
     enumerate_graphs,
     is_k_plus,
-    random_connected_graph,
 )
 
 
@@ -64,7 +64,7 @@ def random_pairs():
     """Criterion 1 ensemble (b): 500 seeded random connected pairs, loops, n <= 6."""
     rng = random.Random(ACCEPT_SEED)
     return [
-        (random_connected_graph(rng), random_connected_graph(rng))
+        (random_connected(rng, 6), random_connected(rng, 6))
         for _ in range(500)
     ]
 
@@ -154,7 +154,7 @@ def test_criterion_5_cycle_bound():
             checked += 1
     rng = random.Random(ACCEPT_SEED + 5)
     for _ in range(300):
-        g = random_connected_graph(rng, max_order=8)
+        g = random_connected(rng, 8)
         report = l_o_bound(g, summarize(g))
         assert report.exact
         assert exponent(g).gamma <= report.l_o, g

@@ -121,6 +121,13 @@ def test_metrics_bad_multipartite_spec(capsys, spec, message):
     assert err == f"error: {message}\n"
 
 
+def _flag_case(*argv):
+    # A flag's text is refused by argparse, which names the flag and the text.
+    *_, flag, value = argv
+    line = f"kronwalk {argv[0]}: error: argument {flag}: invalid int value: {value!r}"
+    return pytest.param(list(argv), line, id=" ".join(argv))
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -133,13 +140,33 @@ def test_metrics_bad_multipartite_spec(capsys, spec, message):
         ("H:9,-", "parameters must be integers"),
         # A minus sign is read, and the family refuses the value.
         ("cycle:-5", "cycle needs at least three vertices"),
+        # generate reads random:n through the same family path.
+        ("random:5_0", "parameters must be integers"),
+        # Each integer flag reads its text by the same rule.
+        _flag_case("metrics", "cycle:5", "--cap-cycles", "5_0"),
+        _flag_case("verify", "--exhaustive", "+3"),
+        _flag_case("verify", "--random", " 5"),
+        _flag_case("verify", "--seed", "\u0663"),
+        _flag_case("generate", "cycle:5", "--seed", "-"),
     ],
 )
 def test_family_parameters_are_ascii_integers(capsys, spec, message):
-    # A parameter is an optional minus sign and ASCII digits, nothing else.
-    code, out, err = run_cli(capsys, "metrics", spec)
+    # An integer is an optional minus sign and ASCII digits, nothing else.  A
+    # flag's case gives its whole argv and the last line of stderr, after the
+    # usage line argparse prints.
+    if isinstance(spec, list):
+        argv, line = spec, message
+    else:
+        argv = ["generate" if spec.startswith("random:") else "metrics", spec]
+        line = f"error: {spec}: {message}"
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
     assert code == 1 and out == ""
-    assert err == f"error: {spec}: {message}\n"
+    assert lines[-1] == line and (len(lines) == 1 or isinstance(spec, list))
 
 
 def test_product_writes_file_and_matches(tmp_path, capsys):
@@ -458,6 +485,29 @@ def test_generate_to_stdout(capsys):
     assert doc["edges"] == [[0, 1], [1, 2]]
 
 
+def test_generate_streams_its_stdout_document(monkeypatch, tmp_path):
+    # complete:200 has 19,900 edges.  Built whole, as one string, the
+    # document peaked at about 6.7 MB traced; written as it is encoded it
+    # peaks at about 2.1 MB, most of it the per-edge lists.  The bytes are
+    # those of json.dumps and a newline.
+    from kronwalk import make_complete
+    from kronwalk.edgelist import graph_to_json
+
+    path = tmp_path / "stdout.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        monkeypatch.setattr(sys, "stdout", handle)
+        tracemalloc.start()
+        try:
+            code = main(["generate", "complete:200"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 3 * 2**20
+    document = {**graph_to_json(make_complete(200)), "out": None}
+    expected = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
+
+
 def test_stdout_is_json_only(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--claims", "CorCycles", "--random", "2"
@@ -584,7 +634,10 @@ def test_factor_above_the_table_limit_exits_one_at_once(tmp_path):
     result = run_cli_capped(tmp_path, "predict", "path:3001", "cycle:3")
     assert time.perf_counter() - start < 2
     assert result.returncode == 1 and result.stdout == ""
-    assert "order 3001 exceeds the all-pairs table limit of 3000" in result.stderr
+    # The family graph is refused as a file is, with its spec named.
+    assert result.stderr == (
+        "error: path:3001: order 3001 exceeds the all-pairs table limit of 3000\n"
+    )
 
 
 def test_factor_above_the_table_limit_writes_no_product(monkeypatch, tmp_path, capsys):

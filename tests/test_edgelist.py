@@ -63,8 +63,11 @@ def test_header_required():
         parse_edge_list("# nothing\n")
     with pytest.raises(ValueError):
         parse_edge_list("n 0\n")
-    with pytest.raises(ValueError, match="line 1: order is not an integer"):
-        parse_edge_list("n five\n")
+    # An order is an optional minus sign and ASCII digits: int() would read
+    # the last three as 50, 3 and 3.
+    for order in ("five", "5_0", "+3", "\u0663"):
+        with pytest.raises(ValueError, match="line 1: order is not an integer"):
+            parse_edge_list(f"n {order}\n0 1\n")
 
 
 def test_bad_lines():
@@ -72,8 +75,11 @@ def test_bad_lines():
         parse_edge_list("n 3\n0 1 2\n")
     with pytest.raises(ValueError, match="out of range"):
         parse_edge_list("n 3\n0 3\n")
-    with pytest.raises(ValueError, match="integers"):
-        parse_edge_list("n 3\na b\n")
+    # So is an endpoint; int() would read U+0661 as 1.
+    for edge in ("a b", "0 \u0661", "+0 1", "0 1_0"):
+        with pytest.raises(ValueError, match="line 2: endpoints are not integers"):
+            parse_edge_list(f"n 20\n{edge}\n")
+    assert parse_edge_list("n 007\n00 06\n") == Graph(7, [(0, 6)])
 
 
 def test_file_round_trip(tmp_path):
