@@ -487,9 +487,9 @@ def test_generate_to_stdout(capsys):
 
 def test_generate_streams_its_stdout_document(monkeypatch, tmp_path):
     # complete:200 has 19,900 edges.  Built whole, as one string, the
-    # document peaked at about 6.7 MB traced; written as it is encoded it
-    # peaks at about 2.1 MB, most of it the per-edge lists.  The bytes are
-    # those of json.dumps and a newline.
+    # document peaked at about 6.7 MB traced; written in chunks as it is
+    # encoded it peaks at about 2.3 MB, most of it the per-edge lists.  The
+    # bytes are those of json.dumps and a newline.
     from kronwalk import make_complete
     from kronwalk.edgelist import graph_to_json
 
