@@ -91,6 +91,13 @@ _FAMILY_REFUSALS = [
 
 _INTEGER_FORMS = ["5_0", "+5", " 5", "٣", "-", "x", "007", "-5", "1e3"]
 
+# Probability forms: an optional minus sign, ASCII digits, and optionally a
+# point and more ASCII digits.
+_DECIMAL_FORMS = [
+    "0.25", "1", "0", "-0", "2", "-0.5", "nan", "inf", "1e-1", "+0.5", ".5",
+    "5.", "0_5", "٠.٩", " 1_0e-1",
+]
+
 
 def _ops() -> list[list[str]]:
     ops: list[list[str]] = []
@@ -148,10 +155,25 @@ def _ops() -> list[list[str]]:
         ["generate", "cycle:5", "--loop-prob", "-0.5"],
         ["generate", "random:6", "--edge-prob", "nan"],
         ["generate", "random:6", "--edge-prob", "x"],
+        # Orders in the hundreds, as in the benchmark's ops.
+        ["metrics", "F:300,5"],
+        ["metrics", "cycle:201"],
+        ["metrics", "path:350"],
+        ["metrics", "H:160,5"],
+        ["predict", "cycle:251", "path:251"],
+        ["predict", "F:250,5", "H:25,4"],
+        ["product", "cycle:35", "cycle:37"],
+        ["product", "cycle:35", "path:36"],
+        ["product", "H:50,4", "complete+:3"],
+        ["product", "H:24,4", "cycle:21", "--out", "p.edges"],
+        ["product", "F:50,5", "complete:2", "--out", "p.json", "--format", "json"],
         # verify's refusals, and small runs.
         ["verify", "--claims", "CorK2,Prop1.1", "--exhaustive", "1", "--random", "2"],
         ["verify", "--claims", "Lem2.2,Lem2.2", "--exhaustive", "2", "--random", "1", "--seed", "5"],
         ["verify", "--exhaustive", "1", "--random", "0"],
+        ["verify", "--claims", "Thm3.1,Lem2.5", "--exhaustive", "3", "--random", "100", "--seed", "7"],
+        ["verify", "--claims", "Lem2.7,ParityRoute", "--exhaustive", "4", "--random", "100", "--seed", "8"],
+        ["verify", "--exhaustive", "4", "--random", "5", "--seed", "9"],
         ["verify", "--exhaustive", "0"],
         ["verify", "--exhaustive", "5"],
         ["verify", "--random", "-1"],
@@ -175,6 +197,12 @@ def _ops() -> list[list[str]]:
             ["verify", "--claims", "CorK2", "--exhaustive", "1", "--random", "1", "--seed", value],
             ["generate", "random:4", "--seed", value],
             ["generate", f"random:{value}"],
+        ]
+    # Probability forms in each probability flag.
+    for value in _DECIMAL_FORMS:
+        ops += [
+            ["generate", "random:6", "--seed", "3", "--edge-prob", value],
+            ["generate", "random:6", "--seed", "3", "--loop-prob", value],
         ]
     return ops
 
