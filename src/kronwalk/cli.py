@@ -17,7 +17,8 @@ expression: ``path:n``, ``cycle:n``, ``complete:n``, ``complete+:n``,
 every refusal, and applies a command's order check to either.  Every
 integer taken in, a family parameter, a file's order or endpoint, or an
 integer flag, is read by ``edgelist._int``: an optional ``-`` and ASCII
-digits.
+digits.  Each probability flag is read by ``edgelist._float``: the same,
+then optionally a ``.`` and more ASCII digits.
 
 All stdout output is a single JSON document (infinite values appear as the
 string "inf"); progress and diagnostics go to stderr.  Exit codes: 0 ok,
@@ -38,7 +39,7 @@ from types import ModuleType
 from typing import NoReturn, Sequence
 
 from .cycles import DEFAULT_CYCLE_CAP, l_o_bound
-from .edgelist import _int, _write, graph_to_json, read_graph, write_graph
+from .edgelist import _float, _int, _write, graph_to_json, read_graph, write_graph
 from .extlen import to_json
 from .graphs import (
     ENUM_CAP_LOOPED,
@@ -345,8 +346,8 @@ def _build_parser() -> _Parser:
     generate.add_argument("spec", help="family expression or random:n")
     generate.add_argument("--out")
     generate.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
-    generate.add_argument("--edge-prob", type=float, default=0.5)
-    generate.add_argument("--loop-prob", type=float, default=0.0)
+    generate.add_argument("--edge-prob", type=_float, default=0.5)
+    generate.add_argument("--loop-prob", type=_float, default=0.0)
     generate.add_argument("--seed", type=_int, default=0)
     generate.set_defaults(func=cmd_generate)
 

@@ -68,8 +68,20 @@ def _int(text: str) -> int:
     return int(text)
 
 
-# argparse names a flag's type by this in its usage errors.
+def _float(text: str) -> float:
+    """``text`` read as an optional minus sign, ASCII digits, and optionally a
+    point and more ASCII digits, nothing else: ``float`` alone would also read
+    'nan', 'inf', '1e-1', '+0.5', '.5', '5.', '0_5', ' 0.5' and digits of
+    other scripts.  Each probability flag is read by this."""
+    whole, point, fraction = text.removeprefix("-").partition(".")
+    if not (text.isascii() and whole.isdigit() and (fraction.isdigit() or not point)):
+        raise ValueError(f"not a decimal: {text!r}")
+    return float(text)
+
+
+# argparse names a flag's type by these in its usage errors.
 _int.__name__ = "int"
+_float.__name__ = "float"
 
 
 def parse_edge_list(

@@ -1,25 +1,35 @@
 """Checker registry: one executable checker per verified claim.
 
-Each claim pairs a deterministic instance stream with a self-contained
-check.  A check derives every hypothesis from the instance graphs
-themselves (connectivity, primitivity, family shape, ...).  It returns None
-only when the instance passes, and refuses an instance outside the claim's
-hypotheses by raising :class:`~kronwalk.graphs.OutsideHypotheses`, as the
-predictors do.  The registry holds each check wrapped so that this refusal,
-and only this one, reads as None; that makes counterexample minimization
-safe, because a mutation that breaks a hypothesis simply stops failing.  Any
-other error, a plain ``ValueError`` included, propagates, so a broken route
-cannot pass as an instance outside the hypotheses.
+A claim is a head, an optional draw, and a check over the instance's graphs.
+An instance is a tuple of graphs, one for a single-graph claim and two for a
+product claim.  The head is a function of the :class:`EnsembleSpec` alone
+and gives the claim's fixed instances: exhaustive sweeps, pair pools and
+family grids.  The draw gives one random instance from a seeded
+``random.Random``, and the stream takes ``spec.random_count`` of them after
+the head; a claim without a draw checks its head alone.  :func:`_claim`
+registers the three, and is the one place a stream is built.
+
+A check takes the instance's graphs as its arguments and derives every
+hypothesis from them (connectivity, primitivity, family shape, ...).  It
+returns None only when the instance passes, and refuses an instance outside
+the claim's hypotheses by raising :class:`~kronwalk.graphs.OutsideHypotheses`,
+as the predictors do.  The registry's ``Claim.check`` takes the instance
+tuple, passes its graphs to the check, and reads this refusal, and only this
+one, as None; that makes counterexample minimization safe, because a
+mutation that breaks a hypothesis simply stops failing.  Any other error, a
+plain ``ValueError`` included, propagates, so a broken route cannot pass as
+an instance outside the hypotheses.
 
 An equality claim is a closed form plus a named brute force: it registers
-through :func:`_closed_form_claim`, which compares the two and builds the
-failure.  Ground truth for product claims is always BFS or boolean powers on
-the explicitly constructed product (:func:`_product_diameter`,
-:func:`_product_connected`, :func:`_product_exponent`), never the formula
-under test or the parity scan behind the factor profiles.  A closed form's
-hypotheses are its predictor's refusals, which the harness does not check
-again; the one hypothesis a profile cannot show, a loop on every vertex of a
-``CorLoops`` factor, is the closed form's own refusal.
+through :func:`_closed_form_claim`, which takes the brute force, the head
+and the draw, compares the two routes and builds the failure.  Ground truth
+for product claims is always BFS or boolean powers on the explicitly
+constructed product (:func:`_product_diameter`, :func:`_product_connected`,
+:func:`_product_exponent`), never the formula under test or the parity scan
+behind the factor profiles.  A closed form's hypotheses are its predictor's
+refusals, which the harness does not check again; the one hypothesis a
+profile cannot show, a loop on every vertex of a ``CorLoops`` factor, is the
+closed form's own refusal.
 
 Every check reads the profile and the walk levels of an instance graph
 through a memo that :func:`run_campaign` opens for each claim
@@ -83,6 +93,8 @@ from .ensembles import (
 )
 
 Instance = tuple[Graph, ...]
+Head = Callable[[EnsembleSpec], Iterable[Instance]]
+Draw = Callable[[random.Random], Instance]
 Levels = list[tuple[int, ...]]
 
 
@@ -105,13 +117,26 @@ class Claim:
 REGISTRY: dict[str, Claim] = {}
 
 
-def _claim(claim_id: str, description: str, instances) -> Callable:
-    """Register a check; this is the one place a refusal is read, as None."""
+def _claim(
+    claim_id: str, description: str, head: Head, draw: Draw | None = None
+) -> Callable:
+    """Register a check over an instance's graphs.
 
-    def register(check: Callable[[Instance], Failure | None]) -> Callable:
+    The claim's stream is ``head(spec)``, then ``spec.random_count`` results
+    of ``draw(rng)`` when a draw is given.  The registered check is the one
+    place a refusal is read, as None.
+    """
+
+    def instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instance]:
+        yield from head(spec)
+        if draw is not None:
+            for _ in range(spec.random_count):
+                yield draw(rng)
+
+    def register(check: Callable[..., Failure | None]) -> Callable:
         def checked(instance: Instance) -> Failure | None:
             try:
-                return check(instance)
+                return check(*instance)
             except OutsideHypotheses:
                 return None
 
@@ -121,22 +146,28 @@ def _claim(claim_id: str, description: str, instances) -> Callable:
     return register
 
 
-def _closed_form_claim(claim_id: str, description: str, instances, truth) -> Callable:
+def _closed_form_claim(
+    claim_id: str,
+    description: str,
+    truth: Callable[..., object],
+    head: Head,
+    draw: Draw | None = None,
+) -> Callable:
     """Register an equality claim: a closed form checked against a brute force.
 
     The check compares the closed form's value with ``truth`` on the same
-    instance; the closed form refuses an instance as every check does.
+    graphs; the closed form refuses an instance as every check does.
     """
 
     def register(closed_form: Callable[..., object]) -> Callable:
-        def check(instance: Instance) -> Failure | None:
-            expected = closed_form(*instance)
-            actual = truth(*instance)
+        def check(*graphs: Graph) -> Failure | None:
+            expected = closed_form(*graphs)
+            actual = truth(*graphs)
             if actual != expected:
                 return Failure(expected, actual, "closed form differs from brute force")
             return None
 
-        _claim(claim_id, description, instances)(check)
+        _claim(claim_id, description, head, draw)(check)
         return closed_form
 
     return register
@@ -230,25 +261,7 @@ def complete_multipartite_parts(g: Graph) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Instance streams
-
-
-def _stream(
-    head: Iterable[Instance], spec: EnsembleSpec, draw: Callable[[], Instance]
-) -> Iterator[Instance]:
-    """The fixed instances, then ``spec.random_count`` draws."""
-    yield from head
-    for _ in range(spec.random_count):
-        yield draw()
-
-
-def _square(pool: Iterable[Graph]) -> Iterator[Instance]:
-    """Every ordered pair from ``pool``."""
-    return itertools.product(pool, repeat=2)
-
-
-def _singles(graphs: Iterable[Graph]) -> Iterator[Instance]:
-    return ((g,) for g in graphs)
+# Heads and draws
 
 
 def _pair_pool(spec: EnsembleSpec, allow_loops: bool = True) -> list[Graph]:
@@ -257,66 +270,45 @@ def _pair_pool(spec: EnsembleSpec, allow_loops: bool = True) -> list[Graph]:
     )
 
 
+def _pairs(spec: EnsembleSpec) -> Iterator[Instance]:
+    """Every ordered pair of the pair pool."""
+    return itertools.product(_pair_pool(spec), repeat=2)
+
+
 def _random_pair(rng: random.Random) -> Instance:
     return (random_connected(rng, RANDOM_ORDER), random_connected(rng, RANDOM_ORDER))
 
 
-def _pair_instances(
-    spec: EnsembleSpec, rng: random.Random, pool: Iterable[Graph] | None = None
-) -> Iterator[Instance]:
-    """Every ordered pair of ``pool``, the pair pool by default, then random pairs."""
-    head = _square(_pair_pool(spec) if pool is None else pool)
-    return _stream(head, spec, lambda: _random_pair(rng))
-
-
-def _first_factor_instances(
-    firsts: list[Graph], spec: EnsembleSpec, rng: random.Random
-) -> Iterator[Instance]:
-    """Each of ``firsts`` times the pair pool, then one of them times a random graph."""
-    return _stream(
-        itertools.product(firsts, _pair_pool(spec)),
-        spec,
-        lambda: (rng.choice(firsts), random_connected(rng, RANDOM_ORDER)),
-    )
-
-
-def _single_instances(
-    spec: EnsembleSpec,
-    rng: random.Random,
-    loops: bool = True,
-    max_random_order: int = RANDOM_ORDER,
-) -> Iterator[Instance]:
-    # The looped sweep holds every loopless class of its orders, so with loops
-    # the loopless sweep adds only the order above the looped cap.
+def _singles(spec: EnsembleSpec) -> Iterator[Instance]:
+    """One graph of each connected class: with loops up to the looped cap,
+    and loopless one order above it."""
+    # The looped sweep holds every loopless class of its orders, so the
+    # loopless sweep adds only the order above the looped cap.
     top = spec.exhaustive_loopless_order
-    head = connected_graphs(top, allow_loops=False, min_order=top if loops else 1)
-    if loops:
-        head = itertools.chain(
-            connected_graphs(spec.exhaustive_order, allow_loops=True), head
-        )
-    return _stream(
-        _singles(head),
-        spec,
-        lambda: (random_connected(rng, max_random_order, loops=loops),),
+    graphs = itertools.chain(
+        connected_graphs(spec.exhaustive_order, allow_loops=True),
+        connected_graphs(top, allow_loops=False, min_order=top),
     )
+    return ((g,) for g in graphs)
 
 
-def _family_grid(kinds: str = "HF", span: int = 4) -> list[Graph]:
-    grid: list[Graph] = []
-    if "H" in kinds:
-        for p in (3, 4, 5):
-            grid.extend(make_h_family(p + k, p) for k in range(1, span + 1))
-    if "F" in kinds:
-        for p in (3, 5):
-            grid.extend(make_f_family(p + k, p) for k in range(1, span + 1))
-    return grid
+def _random_single(rng: random.Random) -> Instance:
+    return (random_connected(rng, RANDOM_ORDER),)
 
 
-def _bipartite_pool() -> list[Graph]:
-    pool = [make_path(n) for n in range(2, 6)]
-    pool.extend(make_cycle(n) for n in (4, 6))
-    pool.append(make_complete_multipartite([1, 3]))
-    return pool
+def _loopless_singles(family: list[Graph], spec: EnsembleSpec) -> Iterator[Instance]:
+    """``family``, then one graph of each loopless connected class up to the
+    loopless cap."""
+    loopless = connected_graphs(spec.exhaustive_loopless_order, allow_loops=False)
+    return ((g,) for g in itertools.chain(family, loopless))
+
+
+def _h_grid(span: int = 4) -> list[Graph]:
+    return [make_h_family(p + k, p) for p in (3, 4, 5) for k in range(1, span + 1)]
+
+
+def _f_grid(span: int = 4) -> list[Graph]:
+    return [make_f_family(p + k, p) for p in (3, 5) for k in range(1, span + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +318,9 @@ def _bipartite_pool() -> list[Graph]:
 @_closed_form_claim(
     "Prop1.1",
     "exponent of a product of primitive factors is the larger factor exponent",
-    _pair_instances,
     _product_exponent,
+    _pairs,
+    _random_pair,
 )
 def _larger_exponent(g1: Graph, g2: Graph) -> ExtLen:
     gamma = max(_summarize(g1).exponent, _summarize(g2).exponent)
@@ -338,13 +331,13 @@ def _larger_exponent(g1: Graph, g2: Graph) -> ExtLen:
 @_claim(
     "Lem2.2",
     "per-pair exponent marks the onset of all-ones entries in adjacency powers",
-    _single_instances,
+    _singles,
+    _random_single,
 )
-def _check_local_exponent_onset(instance: Instance) -> Failure | None:
+def _check_local_exponent_onset(g: Graph) -> Failure | None:
     # Level k of the walk scan is A^k, so a pair's walk lengths, and with
     # them its local exponent, are those of the powers; A^k within A^(k+2)
     # makes every length from the local exponent on a walk length.
-    (g,) = instance
     levels = _walk_levels(g)
     powers = list(itertools.islice(bool_powers(adjacency(g)), 2 * g.order + 2))
     for k, power in enumerate(powers, 1):
@@ -360,21 +353,22 @@ def _check_local_exponent_onset(instance: Instance) -> Failure | None:
 _closed_form_claim(
     "Lem2.4",
     "product of connected factors is connected iff a factor has an odd cycle",
-    _pair_instances,
     _product_connected,
+    _pairs,
+    _random_pair,
 )(lambda g1, g2: product_is_connected(_summarize(g1), _summarize(g2)))
 
 
 @_claim(
     "Lem2.5",
     "same-parity factor walks combine into a product walk of the longer length",
-    _pair_instances,
+    _pairs,
+    _random_pair,
 )
-def _check_walk_combination(instance: Instance) -> Failure | None:
+def _check_walk_combination(g1: Graph, g2: Graph) -> Failure | None:
     # Level k holds every walk of k's parity up to length k, so factor walks
     # of one parity and lengths at most k combine iff the Kronecker product
     # of the factor levels lies within the product's level.
-    g1, g2 = instance
     scans = (_walk_levels(g1), _walk_levels(g2), walk_levels(kronecker_product(g1, g2)))
     n2 = g2.order
     for k in range(1, max(map(len, scans))):
@@ -391,10 +385,10 @@ def _check_walk_combination(instance: Instance) -> Failure | None:
 @_claim(
     "Lem2.6",
     "a primitive graph has parity-extremal pairs at its exponent",
-    _single_instances,
+    _singles,
+    _random_single,
 )
-def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
-    (g,) = instance
+def _check_parity_extremal_pairs(g: Graph) -> Failure | None:
     s = _summarize(g)
     gamma = s.exponent
     _require(g.order >= 2 and is_finite(gamma), "trivial or not primitive")
@@ -409,14 +403,14 @@ def _check_parity_extremal_pairs(instance: Instance) -> Failure | None:
 @_claim(
     "Lem2.7",
     "product distance is at least the smaller mixed-parity factor walk length",
-    _pair_instances,
+    _pairs,
+    _random_pair,
 )
-def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
+def _check_mixed_parity_lower_bound(g1: Graph, g2: Graph) -> Failure | None:
     # A product pair within distance k needs, in one factor, a walk of one
     # parity and length at most k and, in the other, one of the other
     # parity: bits of (O1 x J | J x E2) & (E1 x J | J x O2) for the latest
     # odd and positive even factor levels O and E up to k, J all ones.
-    g1, g2 = instance
     levels1, levels2 = _walk_levels(g1), _walk_levels(g2)
     n1, n2 = g1.order, g2.order
     # A scan ends on the two levels that repeat from there on, so a factor is
@@ -441,12 +435,10 @@ def _check_mixed_parity_lower_bound(instance: Instance) -> Failure | None:
 @_claim(
     "Thm3.1",
     "exponent is at most the odd-cycle eccentricity bound",
-    lambda spec, rng: _single_instances(
-        spec, rng, max_random_order=RANDOM_SINGLE_ORDER
-    ),
+    _singles,
+    lambda rng: (random_connected(rng, RANDOM_SINGLE_ORDER),),
 )
-def _check_l_o_bound(instance: Instance) -> Failure | None:
-    (g,) = instance
+def _check_l_o_bound(g: Graph) -> Failure | None:
     # A lone looped vertex has exponent 1 but cycle bound 0; the claim is
     # about nontrivial graphs.
     s = _summarize(g)
@@ -462,10 +454,10 @@ def _check_l_o_bound(instance: Instance) -> Failure | None:
 @_claim(
     "Cor2.10",
     "a connected graph with a loop has exponent at most twice its diameter",
-    _single_instances,
+    _singles,
+    _random_single,
 )
-def _check_loop_diameter_bound(instance: Instance) -> Failure | None:
-    (g,) = instance
+def _check_loop_diameter_bound(g: Graph) -> Failure | None:
     s = _summarize(g)
     # The lone looped vertex has exponent 1 and diameter 0.
     _require(g.order >= 2 and s.connected, "trivial or not connected")
@@ -481,12 +473,10 @@ def _check_loop_diameter_bound(instance: Instance) -> Failure | None:
     "Cor3.1",
     "exponent <= 2n - p - 1 for odd girth p, extremal only for the "
     "path-plus-odd-cycle family",
-    lambda spec, rng: itertools.chain(
-        _singles(_family_grid(kinds="F")), _single_instances(spec, rng, loops=False)
-    ),
+    lambda spec: _loopless_singles(_f_grid(), spec),
+    lambda rng: (random_connected(rng, RANDOM_ORDER, loops=False),),
 )
-def _check_odd_girth_bound(instance: Instance) -> Failure | None:
-    (g,) = instance
+def _check_odd_girth_bound(g: Graph) -> Failure | None:
     s = _summarize(g)
     # A loop gives odd girth 1.
     _require(is_finite(s.exponent) and s.odd_girth >= 3, "not primitive, or a loop")
@@ -510,13 +500,8 @@ def _check_odd_girth_bound(instance: Instance) -> Failure | None:
 @_closed_form_claim(
     "Cor3.2",
     "the path-plus-clique family has exponent 2n - 2p + 2",
-    lambda spec, rng: _singles(
-        itertools.chain(
-            _family_grid(kinds="H"),
-            connected_graphs(spec.exhaustive_loopless_order, allow_loops=False),
-        )
-    ),
     lambda g: _summarize(g).exponent,
+    lambda spec: _loopless_singles(_h_grid(), spec),
 )
 def _clique_family_exponent(g: Graph) -> int:
     n = g.order
@@ -528,10 +513,10 @@ def _clique_family_exponent(g: Graph) -> int:
 @_claim(
     "Thm3.2",
     "product diameter lies within the exponent and diameter sandwich bounds",
-    _pair_instances,
+    _pairs,
+    _random_pair,
 )
-def _check_sandwich_bounds(instance: Instance) -> Failure | None:
-    g1, g2 = instance
+def _check_sandwich_bounds(g1: Graph, g2: Graph) -> Failure | None:
     _require(g1.order >= 2 and g2.order >= 2, "predict prints no bounds")
     s1, s2 = _summarize(g1), _summarize(g2)
     d = _product_diameter(g1, g2)
@@ -546,14 +531,14 @@ def _check_sandwich_bounds(instance: Instance) -> Failure | None:
 @_closed_form_claim(
     "Thm3.3",
     "product diameter equals the three-case exponent formula",
-    lambda spec, rng: _pair_instances(
-        spec,
-        rng,
+    _product_diameter,
+    lambda spec: itertools.product(
         connected_graphs(
             min(4, spec.exhaustive_loopless_order), allow_loops=False, min_order=2
         ),
+        repeat=2,
     ),
-    _product_diameter,
+    _random_pair,
 )
 def _main_formula(g1: Graph, g2: Graph) -> ExtLen:
     return predict_diameter(_summarize(g1), _summarize(g2)).value
@@ -562,45 +547,43 @@ def _main_formula(g1: Graph, g2: Graph) -> ExtLen:
 @_closed_form_claim(
     "Thm3.4",
     "product diameter is 1 exactly when both factors are complete with all loops",
-    lambda spec, rng: _square(_pair_pool(spec)),
     lambda g1, g2: _product_diameter(g1, g2) == 1,
+    _pairs,
 )
 def _both_k_plus(g1: Graph, g2: Graph) -> bool:
     _require(g1.order >= 2 and g2.order >= 2, "a factor of order one")
     return _summarize(g1).is_k_plus and _summarize(g2).is_k_plus
 
 
+_K_PLUS = [make_complete(m, with_loops=True) for m in (2, 3, 4)]
+
+
 @_closed_form_claim(
     "Thm3.5",
     "a complete-all-loops factor gives diameter d(G), or 2 when d(G) = 1",
-    lambda spec, rng: _first_factor_instances(
-        [make_complete(m, with_loops=True) for m in (2, 3, 4)], spec, rng
-    ),
     _product_diameter,
+    lambda spec: itertools.product(_K_PLUS, _pair_pool(spec)),
+    lambda rng: (rng.choice(_K_PLUS), random_connected(rng, RANDOM_ORDER)),
 )
 def _k_plus_factor(g1: Graph, g2: Graph) -> ExtLen:
     return predict_k_plus_factor(_summarize(g1), _summarize(g2))
 
 
-_PART_LISTS = (
-    [1, 1, 1],
-    [2, 1, 1],
-    [2, 2, 1],
-    [2, 2, 2],
-    [3, 1, 1],
-    [1, 1, 1, 1],
-    [2, 1, 1, 1],
-)
+_MULTIPARTITE = [
+    make_complete_multipartite(parts)
+    for parts in (
+        [1, 1, 1], [2, 1, 1], [2, 2, 1], [2, 2, 2], [3, 1, 1], [1, 1, 1, 1], [2, 1, 1, 1]
+    )
+]
 
 
 @_closed_form_claim(
     "ThmMultipartite",
     "a complete multipartite factor on three or more parts follows the "
     "small-diameter closed form",
-    lambda spec, rng: _first_factor_instances(
-        list(map(make_complete_multipartite, _PART_LISTS)), spec, rng
-    ),
     _product_diameter,
+    lambda spec: itertools.product(_MULTIPARTITE, _pair_pool(spec)),
+    lambda rng: (rng.choice(_MULTIPARTITE), random_connected(rng, RANDOM_ORDER)),
 )
 def _multipartite_factor(h: Graph, g: Graph) -> ExtLen:
     parts = complete_multipartite_parts(h)
@@ -608,19 +591,21 @@ def _multipartite_factor(h: Graph, g: Graph) -> ExtLen:
     return predict_multipartite_factor(_summarize(g), parts)
 
 
-def _hf_instances(spec: EnsembleSpec, rng: random.Random) -> Iterator[Instance]:
-    families = _family_grid(span=3)
-    return itertools.chain(
-        itertools.product(families, _bipartite_pool()), _square(families)
-    )
+_FAMILIES = _h_grid(span=3) + _f_grid(span=3)
+_BIPARTITE = [
+    *map(make_path, range(2, 6)), make_cycle(4), make_cycle(6),
+    make_complete_multipartite([1, 3]),
+]
 
 
 @_closed_form_claim(
     "CorHF",
     "factors with exponent exactly twice their diameter follow the family "
     "closed form",
-    _hf_instances,
     _product_diameter,
+    lambda spec: itertools.chain(
+        itertools.product(_FAMILIES, _BIPARTITE), itertools.product(_FAMILIES, repeat=2)
+    ),
 )
 def _family_products(g: Graph, h: Graph) -> ExtLen:
     return predict_family_product(_summarize(g), _summarize(h))
@@ -629,14 +614,13 @@ def _family_products(g: Graph, h: Graph) -> ExtLen:
 @_closed_form_claim(
     "CorLoops",
     "product of all-loops factors has diameter max(d1, d2)",
+    _product_diameter,
     # Adding every loop merges the looped classes, so the head takes the
     # loopless ones.
-    lambda spec, rng: _stream(
-        _square(map(with_all_loops, _pair_pool(spec, allow_loops=False))),
-        spec,
-        lambda: tuple(map(with_all_loops, _random_pair(rng))),
+    lambda spec: itertools.product(
+        map(with_all_loops, _pair_pool(spec, allow_loops=False)), repeat=2
     ),
-    _product_diameter,
+    lambda rng: tuple(map(with_all_loops, _random_pair(rng))),
 )
 def _all_loops(g1: Graph, g2: Graph) -> ExtLen:
     for label, g in (("first", g1), ("second", g2)):
@@ -647,8 +631,9 @@ def _all_loops(g1: Graph, g2: Graph) -> ExtLen:
 @_closed_form_claim(
     "CorK2",
     "exponent equals the diameter of the product with a single edge, minus one",
-    _single_instances,
     lambda g: _product_diameter(g, make_complete(2)) - 1,
+    _singles,
+    _random_single,
 )
 def _double_cover_exponent(g: Graph) -> ExtLen:
     gamma = _summarize(g).exponent
@@ -659,12 +644,12 @@ def _double_cover_exponent(g: Graph) -> ExtLen:
 @_closed_form_claim(
     "CorCycles",
     "products of odd cycles with cycles and paths match the closed forms",
-    lambda spec, rng: (
+    _product_diameter,
+    lambda spec: (
         (make_cycle(m), h)
         for m in (3, 5, 7)
         for h in [*map(make_cycle, range(3, 8)), *map(make_path, range(2, 8))]
     ),
-    _product_diameter,
 )
 def _cycle_products(g1: Graph, g2: Graph) -> ExtLen:
     m, n = g1.order, g2.order
@@ -686,8 +671,9 @@ def _cycle_products(g1: Graph, g2: Graph) -> ExtLen:
 @_closed_form_claim(
     "ParityRoute",
     "product diameter read off the factors' parity profiles matches BFS",
-    _pair_instances,
     _product_diameter,
+    _pairs,
+    _random_pair,
 )
 def _parity_route(g1: Graph, g2: Graph) -> ExtLen:
     # The route `product` prints as its measured diameter.

@@ -457,15 +457,30 @@ def test_generate_refuses_a_random_graph_above_the_edge_limit(monkeypatch, capsy
 
 
 @pytest.mark.parametrize("spec", ["cycle:5", "random:6"])
-@pytest.mark.parametrize(
-    "flag, value", [("--edge-prob", "2"), ("--loop-prob", "-0.5"), ("--edge-prob", "nan")]
-)
+@pytest.mark.parametrize("flag, value", [("--edge-prob", "2"), ("--loop-prob", "-0.5")])
 def test_generate_refuses_a_probability_outside_the_unit_interval(
     capsys, spec, flag, value
 ):
     code, out, err = run_cli(capsys, "generate", spec, flag, value)
     assert code == 1 and out == ""
     assert err == f"error: {flag} must lie in [0, 1], got {float(value)}\n"
+
+
+@pytest.mark.parametrize("flag", ["--edge-prob", "--loop-prob"])
+@pytest.mark.parametrize(
+    "value",
+    # float() would read each one; the last two as 0.9 and 1.0.
+    ["nan", "inf", "1e-1", "+0.5", ".5", "5.", "0_5", "\u0660.\u0669", " 1_0e-1"],
+)
+def test_probability_flags_are_ascii_decimals(capsys, flag, value):
+    # A probability is an optional minus sign, ASCII digits, and optionally a
+    # point and more ASCII digits; argparse refuses any other text.
+    with pytest.raises(SystemExit) as refused:
+        main(["generate", "random:6", flag, value])
+    out, err = capsys.readouterr()
+    assert refused.value.code == 1 and out == ""
+    line = f"kronwalk generate: error: argument {flag}: invalid float value: {value!r}"
+    assert err.splitlines()[-1] == line
 
 
 def test_generate_json_format(tmp_path, capsys):

@@ -428,7 +428,7 @@ def test_diameter_claim_compares_the_closed_form_with_bfs():
             raise OutsideHypotheses("factors of different orders")
         return 4
 
-    claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(probe)
+    claims._closed_form_claim("Probe", "probe", claims._product_diameter, None)(probe)
     check = REGISTRY.pop("Probe").check
     assert check((make_cycle(5), make_cycle(5))) is None  # d(C5 x C5) = 4
     failure = check((make_cycle(3), make_cycle(3)))
@@ -605,6 +605,22 @@ def test_connected_graphs_hold_one_graph_per_class(order, loops, classes):
     _assert_pairwise_non_isomorphic(head)
 
 
+# The claims checked on a fixed list alone.
+FIXED_STREAMS = {"Thm3.4", "Cor3.2", "CorHF", "CorCycles"}
+
+
+@pytest.mark.parametrize("claim_id", CLAIM_IDS)
+def test_a_claims_stream_is_its_head_then_its_draws(claim_id):
+    # The stream at random_count=r is the stream at random_count=0 followed by
+    # exactly r instances, or by none for a claim without a draw.
+    instances = REGISTRY[claim_id].instances
+    head, stream = (
+        list(instances(EnsembleSpec(2, count), random.Random(0))) for count in (0, 3)
+    )
+    draws = 0 if claim_id in FIXED_STREAMS else 3
+    assert stream[: len(head)] == head and len(stream) == len(head) + draws
+
+
 def test_pair_pools_hold_one_graph_per_class():
     spec = EnsembleSpec(exhaustive_order=3, random_count=0)
     pool = claims._pair_pool(spec)
@@ -621,7 +637,7 @@ def test_single_graph_head_holds_one_graph_per_class(order, graphs):
     # The looped sweep already holds every loopless class of its orders, so
     # the loopless sweep adds only the order above the looped cap.
     spec = EnsembleSpec(exhaustive_order=order, random_count=0)
-    head = [g for (g,) in claims._single_instances(spec, random.Random(0))]
+    head = [g for (g,) in claims._singles(spec)]
     assert len(head) == graphs
     _assert_pairwise_non_isomorphic(head)
     for g in connected_graphs(order + 1, allow_loops=False):
@@ -646,7 +662,7 @@ def test_diameter_claim_reads_a_refusal_as_outside_the_hypotheses(monkeypatch):
     def refuse(g1, g2):
         raise OutsideHypotheses("outside the hypotheses")
 
-    claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(refuse)
+    claims._closed_form_claim("Probe", "probe", claims._product_diameter, None)(refuse)
     check = REGISTRY.pop("Probe").check
     assert check((make_cycle(5), make_cycle(3))) is None
     # Any other ValueError from the closed form is a broken route, not a
@@ -654,13 +670,13 @@ def test_diameter_claim_reads_a_refusal_as_outside_the_hypotheses(monkeypatch):
     def broken(g1, g2):
         raise ValueError("broken route")
 
-    claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(broken)
+    claims._closed_form_claim("Probe", "probe", claims._product_diameter, None)(broken)
     check = REGISTRY.pop("Probe").check
     with pytest.raises(ValueError, match="broken route"):
         check((make_cycle(5), make_cycle(3)))
     # A size guard of the product raises a plain ValueError, which is not a
     # refusal either.
-    claims._closed_form_claim("Probe", "probe", None, claims._product_diameter)(lambda g1, g2: 3)
+    claims._closed_form_claim("Probe", "probe", claims._product_diameter, None)(lambda g1, g2: 3)
     check = REGISTRY.pop("Probe").check
 
     def oversized(g1, g2):
