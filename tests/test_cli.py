@@ -457,10 +457,21 @@ def test_generate_refuses_a_random_graph_above_the_edge_limit(monkeypatch, capsy
 
 
 @pytest.mark.parametrize("spec", ["cycle:5", "random:6"])
-@pytest.mark.parametrize("flag, value", [("--edge-prob", "2"), ("--loop-prob", "-0.5")])
+@pytest.mark.parametrize(
+    "flag, value", [("--edge-prob", "2"), ("--loop-prob", "-0.5"), ("--edge-prob", "nan")]
+)
 def test_generate_refuses_a_probability_outside_the_unit_interval(
     capsys, spec, flag, value
 ):
+    if value == "nan":
+        # nan is no ASCII decimal, so argparse refuses it before any range check.
+        with pytest.raises(SystemExit) as refused:
+            main(["generate", spec, flag, value])
+        out, err = capsys.readouterr()
+        assert refused.value.code == 1 and out == ""
+        line = f"kronwalk generate: error: argument {flag}: invalid float value: 'nan'"
+        assert err.splitlines()[-1] == line
+        return
     code, out, err = run_cli(capsys, "generate", spec, flag, value)
     assert code == 1 and out == ""
     assert err == f"error: {flag} must lie in [0, 1], got {float(value)}\n"
