@@ -174,6 +174,9 @@ def _ops() -> list[list[str]]:
         ["verify", "--claims", "Thm3.1,Lem2.5", "--exhaustive", "3", "--random", "100", "--seed", "7"],
         ["verify", "--claims", "Lem2.7,ParityRoute", "--exhaustive", "4", "--random", "100", "--seed", "8"],
         ["verify", "--exhaustive", "4", "--random", "5", "--seed", "9"],
+        # The two standing full campaigns.
+        ["verify", "--seed", "0"],
+        ["verify", "--exhaustive", "3", "--random", "100", "--seed", "1"],
         ["verify", "--exhaustive", "0"],
         ["verify", "--exhaustive", "5"],
         ["verify", "--random", "-1"],
