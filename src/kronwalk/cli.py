@@ -14,17 +14,20 @@ Graphs are given either as an edge-list file path or as a family
 expression: ``path:n``, ``cycle:n``, ``complete:n``, ``complete+:n``,
 ``multipartite:a,b,c``, ``H:n,p``, ``F:n,p``, and ``random:n`` for
 ``generate``.  ``parse_graph_spec`` reads both forms, names the spec in
-every refusal, and applies a command's order check to either.  Every
-integer taken in, a family parameter, a file's order or endpoint, or an
-integer flag, is read by ``edgelist._int``: an optional ``-`` and ASCII
-digits.  Each probability flag is read by ``edgelist._float``: the same,
-then optionally a ``.`` and more ASCII digits.
+every refusal, and refuses a graph above the all-pairs table limit of
+``graphs.check_table_order``: a file at its header, a family graph once it
+is built.  ``generate`` applies no such limit.  Every integer taken in, a
+family parameter, a file's order or endpoint, or an integer flag, is read
+by ``edgelist._int``: an optional ``-`` and ASCII digits.  Each probability
+flag is read by ``edgelist._float``: the same, then optionally a ``.`` and
+more ASCII digits.
 
 All stdout output is a single JSON document (infinite values appear as the
 string "inf"); progress and diagnostics go to stderr.  Exit codes: 0 ok,
-1 usage or input error, 2 verification mismatch.  ``generate`` writes its
-document to stdout in chunks as it is encoded; every other command prints
-it whole.
+1 usage or input error, 2 verification mismatch.  ``main`` returns the code
+of every outcome, ``--help`` and argparse's usage errors included, and
+raises no ``SystemExit``.  ``generate`` writes its document to stdout in
+chunks as it is encoded; every other command prints it whole.
 """
 
 from __future__ import annotations
@@ -93,13 +96,14 @@ _FAMILIES = {
 }
 
 
-def parse_graph_spec(spec: str, check: Callable[[int], None] | None = None) -> Graph:
+def parse_graph_spec(spec: str) -> Graph:
     """Family expression or edge-list file path.
 
-    ``check``, if given, may refuse the graph's order: a file's at its header,
-    before any edge line is parsed, and a family graph's once it is built.
+    A graph above the all-pairs table limit of ``graphs.check_table_order`` is
+    refused: a file's at its header, before any edge line is parsed, and a
+    family graph's once it is built.
     """
-    return _graph(spec, _FAMILIES, check)
+    return _graph(spec, _FAMILIES, check_table_order)
 
 
 def _graph(spec: str, families: dict, check: Callable[[int], None] | None) -> Graph:
@@ -158,7 +162,7 @@ def _prediction_json(
 def cmd_metrics(args: argparse.Namespace) -> int:
     if args.cap_cycles < 1:
         raise ValueError(f"--cap-cycles must be at least 1, got {args.cap_cycles}")
-    g = parse_graph_spec(args.graph, check_table_order)
+    g = parse_graph_spec(args.graph)
     s = summarize(g)
     document = {
         "order": g.order,
@@ -181,8 +185,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    g1 = parse_graph_spec(args.graph1, check_table_order)
-    g2 = parse_graph_spec(args.graph2, check_table_order)
+    g1 = parse_graph_spec(args.graph1)
+    g2 = parse_graph_spec(args.graph2)
     # Both factors passed the table limit as they were read, so the profiles
     # refuse neither: the product is written, and freed, before they run.
     if args.out:
@@ -209,8 +213,8 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    g1 = parse_graph_spec(args.graph1, check_table_order)
-    g2 = parse_graph_spec(args.graph2, check_table_order)
+    g1 = parse_graph_spec(args.graph1)
+    g2 = parse_graph_spec(args.graph2)
     s1, s2 = summarize(g1), summarize(g2)
     _emit(_prediction_json(predict_diameter(s1, s2), s1, s2))
     return 0
@@ -300,17 +304,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is reserved for
-    # verification mismatches here, so remap usage errors to 1.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="kronwalk", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="kronwalk", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
 
     metrics = sub.add_parser("metrics", help="walk metrics of one graph")
     metrics.add_argument("graph", help="edge-list file or family expression")
@@ -355,8 +351,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help, and 2 on a usage error; 2 means a
+        # verification mismatch here, so a usage error returns 1.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -223,10 +223,7 @@ def record(argv: list[str]) -> dict:
 
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+        code = main(argv)
     stdout = out.getvalue()
     entry = {
         "exit": code,

@@ -8,18 +8,29 @@ boolean matrix powers it is used to check.  ``brute_odd_cycles`` and
 every anchor over the whole graph, and every cycle scored off
 ``dp_distances``, read from the walk enumeration and not from the BFS that
 the bound itself runs.  ``check_rows`` is the reference check on the
-neighbour rows that ``Graph._from_rows`` takes on trust.
+neighbour rows that ``Graph._from_rows`` takes on trust.  ``traced_peak``
+measures a call's peak traced memory for the tests that bound it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import tracemalloc
+from collections.abc import Callable, Iterator
 
 from hypothesis import strategies as st
 
 from kronwalk import INF, Graph
 
 ACCEPT_SEED = 7
+
+
+def traced_peak(call: Callable[[], object]) -> tuple:
+    """``call()``'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def check_rows(g: Graph) -> None:

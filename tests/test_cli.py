@@ -9,13 +9,14 @@ import shlex
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from kronwalk import Graph, make_cycle, read_graph, write_graph
 from kronwalk.cli import _build_parser, main, parse_graph_spec
+
+from helpers import traced_peak
 
 
 def run_cli(capsys, *argv):
@@ -159,11 +160,7 @@ def test_family_parameters_are_ascii_integers(capsys, spec, message):
     else:
         argv = ["generate" if spec.startswith("random:") else "metrics", spec]
         line = f"error: {spec}: {message}"
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
     lines = err.splitlines()
     assert code == 1 and out == ""
     assert lines[-1] == line and (len(lines) == 1 or isinstance(spec, list))
@@ -204,12 +201,7 @@ def test_product_trivial_factor(capsys):
 def test_product_builds_no_all_pairs_table(capsys):
     # Expanding the factors' parity tables for path:600 peaked at 11.95 MB;
     # two profiles keep a few lists of 600 bitsets of at most 600 bits each.
-    tracemalloc.start()
-    try:
-        code = main(["product", "path:600", "cycle:3"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(["product", "path:600", "cycle:3"]))
     assert code == 0 and json.loads(capsys.readouterr().out)["measured"] == 599
     assert peak < 2_000_000
 
@@ -217,12 +209,7 @@ def test_product_builds_no_all_pairs_table(capsys):
 def test_metrics_builds_no_all_pairs_table(capsys):
     # The cycle bound's distance table for path:600 peaked at 7.0 MB; the
     # profile and one BFS per scored cycle keep a few lists of 600 entries.
-    tracemalloc.start()
-    try:
-        code = main(["metrics", "path:600"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(["metrics", "path:600"]))
     assert code == 0 and json.loads(capsys.readouterr().out)["l_o"] == "inf"
     assert peak < 2_000_000
 
@@ -421,9 +408,14 @@ def test_verify_shrinks_a_registered_claims_counterexample(monkeypatch, capsys):
 
 
 def test_usage_error_exits_one(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["metrics"])  # missing the graph argument
-    assert excinfo.value.code == 1
+    code, out, _ = run_cli(capsys, "metrics")  # missing the graph argument
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["metrics", "--help"]])
+def test_help_returns_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("usage: kronwalk") and err == ""
 
 
 def test_generate_family_file(tmp_path, capsys):
@@ -465,10 +457,8 @@ def test_generate_refuses_a_probability_outside_the_unit_interval(
 ):
     if value == "nan":
         # nan is no ASCII decimal, so argparse refuses it before any range check.
-        with pytest.raises(SystemExit) as refused:
-            main(["generate", spec, flag, value])
-        out, err = capsys.readouterr()
-        assert refused.value.code == 1 and out == ""
+        code, out, err = run_cli(capsys, "generate", spec, flag, value)
+        assert code == 1 and out == ""
         line = f"kronwalk generate: error: argument {flag}: invalid float value: 'nan'"
         assert err.splitlines()[-1] == line
         return
@@ -486,10 +476,8 @@ def test_generate_refuses_a_probability_outside_the_unit_interval(
 def test_probability_flags_are_ascii_decimals(capsys, flag, value):
     # A probability is an optional minus sign, ASCII digits, and optionally a
     # point and more ASCII digits; argparse refuses any other text.
-    with pytest.raises(SystemExit) as refused:
-        main(["generate", "random:6", flag, value])
-    out, err = capsys.readouterr()
-    assert refused.value.code == 1 and out == ""
+    code, out, err = run_cli(capsys, "generate", "random:6", flag, value)
+    assert code == 1 and out == ""
     line = f"kronwalk generate: error: argument {flag}: invalid float value: {value!r}"
     assert err.splitlines()[-1] == line
 
@@ -522,12 +510,7 @@ def test_generate_streams_its_stdout_document(monkeypatch, tmp_path):
     path = tmp_path / "stdout.json"
     with open(path, "w", encoding="utf-8") as handle:
         monkeypatch.setattr(sys, "stdout", handle)
-        tracemalloc.start()
-        try:
-            code = main(["generate", "complete:200"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(["generate", "complete:200"]))
     assert code == 0 and peak < 3 * 2**20
     document = {**graph_to_json(make_complete(200)), "out": None}
     expected = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"

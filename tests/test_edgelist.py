@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,7 @@ import kronwalk.edgelist as edgelist_module
 import kronwalk.graphs as graphs_module
 from kronwalk.edgelist import graph_to_json
 
-from helpers import graphs
+from helpers import graphs, traced_peak
 
 
 def test_format_round_trip_explicit():
@@ -190,10 +189,5 @@ def test_a_large_file_is_written_without_its_whole_text(tmp_path, fmt):
     # megabytes (about 24 MB traced for the JSON document built at once),
     # while a chunk of 4,096 lines or edges is well under one.
     g = kronecker_product(make_cycle(301), make_cycle(331))
-    tracemalloc.start()
-    try:
-        write_graph(tmp_path / "p.out", g, fmt)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: write_graph(tmp_path / "p.out", g, fmt))
     assert peak < 2 * 2**20

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,9 @@ from kronwalk.harness.campaign import _single_deletions
 from kronwalk.harness.claims import are_isomorphic
 from kronwalk.walks import is_bipartite, is_connected
 
-from helpers import check_rows, enumerate_graphs, graphs, is_k_plus, labeled_graphs
+from helpers import (
+    check_rows, enumerate_graphs, graphs, is_k_plus, labeled_graphs, traced_peak
+)
 
 
 def test_order_must_be_positive():
@@ -218,12 +219,7 @@ def test_dense_families_build_no_edge_list(build, limit_mb):
     # Rows are laid out directly: K1000's 1000 rows of 999 share their ints,
     # and rows that are equal are one tuple.  Listing the 499,500 pairs for
     # Graph.__init__ peaked at about 88 MB.
-    tracemalloc.start()
-    try:
-        build()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(build)
     assert peak < limit_mb * 2**20
 
 

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +36,7 @@ from helpers import (
     is_k_plus,
     labeled_graphs,
     relabelled,
+    traced_peak,
     walk_profile,
     walk_reach,
 )
@@ -162,12 +162,7 @@ def test_profile_builds_no_all_pairs_table():
     # Per-source tables for path:600 peaked at 12.5 MB; the scan keeps a few
     # lists of 600 bitsets of at most 600 bits each.
     g = make_path(600)
-    tracemalloc.start()
-    try:
-        summarize(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: summarize(g))
     assert peak < 2_000_000
 
 
