@@ -408,8 +408,10 @@ def test_verify_shrinks_a_registered_claims_counterexample(monkeypatch, capsys):
 
 
 def test_usage_error_exits_one(capsys):
-    code, out, _ = run_cli(capsys, "metrics")  # missing the graph argument
+    code, out, err = run_cli(capsys, "metrics")  # missing the graph argument
     assert code == 1 and out == ""
+    line = "kronwalk metrics: error: the following arguments are required: graph"
+    assert err.splitlines()[-1] == line
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["metrics", "--help"]])
